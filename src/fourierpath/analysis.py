@@ -7,9 +7,12 @@ The central quantity is the closed-form bound
              + 2*pi*sum(|a_k|^2 for k outside the width-m window)
 
 whose first term models the noise admitted by the window and whose second
-term is the spectral energy the window discards.  ``certify`` measures the
-ultimate mean-square following error across noise seeds and reports it
-against this bound.
+term is the spectral energy the window discards.  ``p_bar`` takes one
+width or an array of widths, so ``window_sweep`` and ``select_window``
+get the bound for every width in 1..m_max in one pass: the tails come
+from a single sort of the spectrum by window entry width (see
+``spectrum.tail_energy``).  ``certify`` measures the ultimate mean-square
+following error across noise seeds and reports it against this bound.
 
 Caveat, verified by the test suite: the noise term above understates the
 true expected passband noise energy, which is
@@ -29,7 +32,7 @@ import numpy as np
 from .gvf import GvfParams
 from .pathdata import NoiseSpec, PathSamples, add_noise
 from .sim import IntegrationError, SimConfig, integrate
-from .spectrum import Spectrum, apply_window, dft, tail_energy, window_bounds
+from .spectrum import Spectrum, apply_window, checked_widths, dft, tail_energy
 from .trigpath import TrigPath, make_trig_path
 
 __all__ = [
@@ -97,16 +100,18 @@ def reconstruction_mse(truth: TrigPath, approx: TrigPath, quad_points: int) -> f
 
 def p_bar(
     spec: Spectrum,
-    m: int,
+    m: int | np.ndarray,
     sigma1: float,
     sigma2: float,
     n: int | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Closed-form bound: window-admitted noise term plus discarded energy.
 
-    ``n`` defaults to the spectrum's own sample count; the tail is summed
-    from whatever coefficients the supplied spectrum carries (clean ones
-    when available, noisy ones otherwise).
+    ``m`` may be one width or an array of widths; an int width returns a
+    float, an array of widths an array.  ``n`` defaults to the spectrum's
+    own sample count; the tail is summed from whatever coefficients the
+    supplied spectrum carries (clean ones when available, noisy ones
+    otherwise).
     """
     _check_sigmas(sigma1, sigma2)
     if n is None:
@@ -140,26 +145,24 @@ def select_window(
     m_max: int,
 ) -> tuple[int, float]:
     """Width in 1..m_max minimizing p_bar; ties go to the smaller width."""
-    window_bounds(m_max)
-    if m_max > spec.n_samples:
-        raise ValueError("m_max exceeds the spectrum's index range")
-    values = [p_bar(spec, m, sigma1, sigma2) for m in range(1, m_max + 1)]
+    values = p_bar(spec, _widths_up_to(spec, m_max), sigma1, sigma2)
     best = int(np.argmin(values))
-    return best + 1, values[best]
+    return best + 1, float(values[best])
 
 
 def expected_passband_noise(n: int, m: int, sigma1: float, sigma2: float) -> float:
     """Exact expected integral of the in-window noise energy.
 
     The transform of white noise has per-coefficient power
-    (sigma1^2+sigma2^2)/N, and the width-m window keeps 2*(m//2)+1
-    indices, so the integrated expectation is 2*pi times their product.
-    This is the quantity the closed-form noise term of :func:`p_bar`
-    approximates.
+    (sigma1^2+sigma2^2)/N, and the width-m window keeps 2*(m//2)+1 of the
+    N stored indices (all N when m = N, which for even N excludes the
+    unstored -N/2), so the integrated expectation is 2*pi times their
+    product.  This is the quantity the closed-form noise term of
+    :func:`p_bar` approximates.
     """
     _check_sigmas(sigma1, sigma2)
-    lo, hi = window_bounds(m)
-    kept = hi - lo + 1
+    checked_widths(m, n)
+    kept = min(2 * (m // 2) + 1, n)
     return TWO_PI * kept * (sigma1**2 + sigma2**2) / n
 
 
@@ -170,17 +173,11 @@ def window_sweep(
     m_max: int,
 ) -> list[tuple[int, float, float | None, float]]:
     """Table of (m, p_bar, f_backward, tail_energy) for m in 1..m_max."""
-    window_bounds(m_max)
-    if m_max > spec.n_samples:
-        raise ValueError("m_max exceeds the spectrum's index range")
-    rows = []
-    prev = None
-    for m in range(1, m_max + 1):
-        val = p_bar(spec, m, sigma1, sigma2)
-        diff = None if prev is None else val - prev
-        rows.append((m, val, diff, tail_energy(spec, m)))
-        prev = val
-    return rows
+    ms = _widths_up_to(spec, m_max)
+    bounds = p_bar(spec, ms, sigma1, sigma2)
+    diffs = [None, *np.diff(bounds).tolist()]
+    return list(zip(ms.tolist(), bounds.tolist(), diffs,
+                    tail_energy(spec, ms).tolist()))
 
 
 def certify(
@@ -246,6 +243,10 @@ def certify(
         runs=runs,
         delta_is_estimate=False,
     )
+
+
+def _widths_up_to(spec: Spectrum, m_max: int) -> np.ndarray:
+    return np.arange(1, int(checked_widths(m_max, spec.n_samples)) + 1)
 
 
 def _check_sigmas(sigma1: float, sigma2: float) -> None:

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -58,11 +59,15 @@ class RunConfig:
     literal_theta_integral: bool = False
 
 
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
+        _check_output_options(cfg)
         out = _prepare_out_dir(cfg)
         handler = {
             "transform": _cmd_transform,
@@ -112,7 +117,8 @@ def _cmd_simulate(cfg: RunConfig, out: Path) -> None:
     clean = _load_samples(cfg)
     data = _perturbed(clean, cfg)
     spec = spectrum.dft(data)
-    followed = trigpath.make_trig_path(_windowed(spec, cfg))
+    followed = trigpath.make_trig_path(
+        spectrum.apply_window(spec, _window_width(spec, cfg)))
     # with synthetic noise the clean data is in hand, so measure the error
     # against the clean full reconstruction; otherwise against the followed
     # curve itself
@@ -242,10 +248,31 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             name = key.replace("-", "_")
             if name not in known or name == "command":
                 raise CliError(f"config file {args.config}: unknown key {key!r}")
-            values[name] = value
+            values[name] = _config_value(args.config, key, name, value)
     defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     merged = {**defaults, **values}
     return RunConfig(**merged)
+
+
+def _config_value(source: str, key: str, name: str, value):
+    """A config-file value checked against its RunConfig field type.
+
+    JSON integers are accepted for float fields and stored as floats.
+    """
+    allowed = typing.get_args(_FIELD_TYPES[name]) or (_FIELD_TYPES[name],)
+    if float in allowed and type(value) is int:
+        return float(value)
+    if type(value) in allowed:
+        return value
+    names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+    raise CliError(f"config file {source}: {key!r} must be {names}, got {value!r}")
+
+
+def _check_output_options(cfg: RunConfig) -> None:
+    if cfg.stride < 1:
+        raise CliError(f"stride must be >= 1, got {cfg.stride}")
+    if cfg.samples < 2:
+        raise CliError(f"samples must be >= 2, got {cfg.samples}")
 
 
 def _prepare_out_dir(cfg: RunConfig) -> Path:
@@ -282,17 +309,6 @@ def _perturbed(clean: pathdata.PathSamples, cfg: RunConfig) -> pathdata.PathSamp
 
 def _spectrum_for(cfg: RunConfig) -> spectrum.Spectrum:
     return spectrum.dft(_perturbed(_load_samples(cfg), cfg))
-
-
-def _windowed(spec: spectrum.Spectrum, cfg: RunConfig) -> spectrum.Spectrum:
-    if cfg.window_auto:
-        m, _ = analysis.select_window(
-            spec, cfg.sigma1, cfg.sigma2, cfg.window_max or spec.n_samples
-        )
-        return spectrum.apply_window(spec, m)
-    if cfg.window_m is not None:
-        return spectrum.apply_window(spec, cfg.window_m)
-    return spec
 
 
 def _window_width(spec: spectrum.Spectrum, cfg: RunConfig) -> int:

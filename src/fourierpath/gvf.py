@@ -30,7 +30,6 @@ __all__ = [
     "chi",
     "lyapunov_rate",
     "verify_nonsingular",
-    "write_field_grid_csv",
 ]
 
 
@@ -197,40 +196,3 @@ def _scan_states(path, params, xs, ys, ths, report, vanish_tol, floor):
     report.certificate_states += int(np.count_nonzero(near))
     for i in np.nonzero(near & (ct < floor))[0]:
         report.certificate_failures.append(FieldState(xs[i], ys[i], ths[i]))
-
-
-def write_field_grid_csv(
-    path: TrigPath,
-    params: GvfParams,
-    fh,
-    x_range,
-    y_range,
-    theta_range,
-    nx: int,
-    ny: int,
-    ntheta: int,
-) -> None:
-    """Write ``x,y,theta,chix,chiy,chitheta,phi1,phi2`` over a lattice.
-
-    Rows iterate theta-major, then x, then y, each axis on an inclusive
-    linspace grid.
-    """
-    if min(nx, ny, ntheta) < 1:
-        raise ValueError("grid sizes must be >= 1")
-    xs = np.linspace(*x_range, nx)
-    ys = np.linspace(*y_range, ny)
-    ths = np.linspace(*theta_range, ntheta)
-    fh.write("x,y,theta,chix,chiy,chitheta,phi1,phi2\n")
-    for th in ths:
-        px, py, dxdt, dydt = path.eval_with_deriv(float(th))
-        for gx in xs:
-            p1 = gx - px
-            cx = dxdt - params.k1 * p1
-            for gy in ys:
-                p2 = gy - py
-                cy = dydt - params.k2 * p2
-                ct = 1.0 + params.k1 * p1 * dxdt + params.k2 * p2 * dydt
-                fh.write(
-                    f"{gx:.17g},{gy:.17g},{th:.17g},{cx:.17g},{cy:.17g},"
-                    f"{ct:.17g},{p1:.17g},{p2:.17g}\n"
-                )

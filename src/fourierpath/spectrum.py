@@ -29,6 +29,7 @@ __all__ = [
     "dft",
     "idft",
     "apply_window",
+    "checked_widths",
     "tail_energy",
     "window_bounds",
     "write_spectrum_csv",
@@ -41,6 +42,23 @@ def window_bounds(width: int) -> tuple[int, int]:
         raise ValueError(f"window width must be an integer >= 1, got {width!r}")
     hi = int(width) // 2
     return -hi, hi
+
+
+def checked_widths(m: int | np.ndarray, n_samples: int) -> np.ndarray:
+    """``m`` (one width or an array of widths) as an integer array.
+
+    Every width must be an integer in 1..n_samples: a wider window would
+    reach past the index range of an n_samples-point spectrum.
+    """
+    widths = np.asarray(m)
+    if widths.dtype.kind not in "iu" or np.any(widths < 1):
+        raise ValueError(f"window width must be an integer >= 1, got {m!r}")
+    if np.any(widths > n_samples):
+        raise ValueError(
+            f"window width {int(widths.max())} exceeds the index range of an "
+            f"{n_samples}-sample spectrum"
+        )
+    return widths
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,8 +115,7 @@ class WindowedSpectrum(Spectrum):
 
     def __post_init__(self):
         super().__post_init__()
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
-            raise ValueError(f"window width must be an integer >= 1, got {self.m!r}")
+        checked_widths(self.m, self.n_samples)
         object.__setattr__(self, "m", int(self.m))
 
 
@@ -132,18 +149,27 @@ def apply_window(spec: Spectrum, m: int) -> WindowedSpectrum:
     The kept coefficients are passed through unchanged, so re-applying the
     same window is the identity.
     """
-    lo, hi = _validated_bounds(spec, m)
-    mask = (spec.k >= lo) & (spec.k <= hi)
+    mask = 2 * np.abs(spec.k) <= checked_widths(m, spec.n_samples)
     return WindowedSpectrum(
         k=spec.k[mask], a=spec.a[mask], n_samples=spec.n_samples, m=int(m)
     )
 
 
-def tail_energy(spec: Spectrum, m: int) -> float:
-    """Spectral energy outside the width-m window: sum of |a_k|^2 there."""
-    lo, hi = _validated_bounds(spec, m)
-    outside = (spec.k < lo) | (spec.k > hi)
-    return float(np.sum(np.abs(spec.a[outside]) ** 2))
+def tail_energy(spec: Spectrum, m: int | np.ndarray) -> float | np.ndarray:
+    """Spectral energy outside the width-m window: sum of |a_k|^2 there.
+
+    ``m`` may be one width or an array of widths.  Index k joins the window
+    once the width reaches its entry width 2*|k|, so one stable sort of the
+    energies by entry width followed by suffix sums gives every tail at
+    once.  An int width returns a float, an array of widths an array.
+    """
+    widths = checked_widths(m, spec.n_samples)
+    entry = 2 * np.abs(spec.k)
+    order = np.argsort(entry, kind="stable")
+    energy = np.abs(spec.a[order]) ** 2
+    suffix = np.append(np.cumsum(energy[::-1])[::-1], 0.0)
+    tails = suffix[np.searchsorted(entry[order], widths, side="right")]
+    return float(tails) if tails.ndim == 0 else tails
 
 
 def write_spectrum_csv(spec: Spectrum, fh) -> None:
@@ -151,13 +177,3 @@ def write_spectrum_csv(spec: Spectrum, fh) -> None:
     fh.write("k,re,im,magnitude\n")
     for k, a in zip(spec.k, spec.a):
         fh.write(f"{int(k)},{a.real:.17g},{a.imag:.17g},{abs(a):.17g}\n")
-
-
-def _validated_bounds(spec: Spectrum, m: int) -> tuple[int, int]:
-    lo, hi = window_bounds(m)
-    if m > spec.n_samples:
-        raise ValueError(
-            f"window width {m} exceeds the index range of an "
-            f"{spec.n_samples}-sample spectrum"
-        )
-    return lo, hi

@@ -22,7 +22,11 @@ from fourierpath import (
 from fourierpath.analysis import expected_passband_noise
 
 from conftest import decaying_path, decaying_spectrum, random_path, sparse_spectrum
-from oracles import p_bar_reference, p_bar_sweep_by_entry_order
+from oracles import (
+    expected_passband_noise_by_enumeration,
+    p_bar_reference,
+    p_bar_sweep_by_entry_order,
+)
 
 TWO_PI = 2.0 * np.pi
 UNIT = GvfParams(1.0, 1.0)
@@ -167,6 +171,20 @@ class TestPassbandNoise:
             vals.append(TWO_PI * gap)
         expected = expected_passband_noise(n, m, s1, s2)
         assert np.mean(vals) == pytest.approx(expected, rel=0.15)
+
+
+    @pytest.mark.parametrize(
+        "n,m", [(n, m) for n in (4, 5, 6, 7) for m in range(1, n + 1)]
+    )
+    def test_matches_enumerated_kept_count(self, n, m):
+        # for even n and m = n the window reaches index -n/2, which an
+        # n-sample spectrum does not store
+        want = expected_passband_noise_by_enumeration(n, m, 1.0, 0.5)
+        assert expected_passband_noise(n, m, 1.0, 0.5) == pytest.approx(want, rel=1e-12)
+
+    def test_width_beyond_sample_count_rejected(self):
+        with pytest.raises(ValueError):
+            expected_passband_noise(4, 5, 1.0, 0.0)
 
 
 class TestCertify:

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fourierpath
 from fourierpath.cli import main
 
 
@@ -122,6 +125,17 @@ class TestSimulate:
         e = np.array([float(r[7]) for r in rows])
         assert np.max(e) < 1e-8
 
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--synth", "circle,64", "--duration", "2", "--stride", "0"],
+        ["reconstruct", "--synth", "circle,64", "--m-list", "full", "--samples", "1"],
+    ])
+    def test_bad_output_option_fails_before_any_output(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run(args + ["--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_absurd_step_fails_with_context(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run(["simulate", "--synth", "lissajous,758,3,2", "--sigma1", "0.2",
@@ -207,6 +221,28 @@ class TestConfigFile:
                     "--out-dir", tmp_path / "o"]) == 1
         assert "sigmaX" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("runs", "3"), ("k1", None), ("window_auto", 1), ("seed", 2.5),
+        ("window_m", True), ("input", 5),
+    ])
+    def test_wrongly_typed_value_rejected(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(["transform", "--synth", "circle,16", "--config", cfg,
+                    "--out-dir", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}:")
+        assert repr(key) in err and err.count("\n") == 1
+
+    def test_integer_accepted_for_float_field(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"sigma1": 1, "window_m": None}))
+        out = tmp_path / "out"
+        assert run(["transform", "--synth", "circle,16", "--config", cfg,
+                    "--out-dir", out]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["sigma1"] == 1.0 and isinstance(resolved["sigma1"], float)
+
     def test_both_input_and_synth_rejected(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("0,0\n1,1\n")
@@ -216,12 +252,17 @@ class TestConfigFile:
 
 
 def test_module_entry_point(tmp_path):
+    # run the package this session imported, also from a plain checkout
+    src = str(Path(fourierpath.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "fourierpath", "transform", "--synth", "circle,8",
          "--out-dir", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "N=8" in proc.stdout

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from fourierpath import (
     synth_path,
     verify_nonsingular,
 )
-from fourierpath.gvf import write_field_grid_csv
 
 from conftest import decaying_spectrum, sparse_spectrum
 
@@ -164,20 +161,3 @@ class TestTypes:
     def test_state_must_be_finite(self):
         with pytest.raises(ValueError):
             FieldState(np.inf, 0.0, 0.0)
-
-
-def test_field_grid_export(unit_epicycle):
-    buf = io.StringIO()
-    write_field_grid_csv(
-        unit_epicycle, UNIT, buf,
-        x_range=(-1.0, 1.0), y_range=(-1.0, 1.0), theta_range=(0.0, np.pi),
-        nx=3, ny=3, ntheta=2,
-    )
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "x,y,theta,chix,chiy,chitheta,phi1,phi2"
-    assert len(lines) == 1 + 3 * 3 * 2
-    for line in lines[1:]:
-        x, y, th, cx, cy, ct, p1, p2 = (float(v) for v in line.split(","))
-        sample = chi(unit_epicycle, FieldState(x, y, th), UNIT)
-        assert sample.chi == pytest.approx([cx, cy, ct], rel=1e-15, abs=1e-15)
-        assert (sample.phi1, sample.phi2) == pytest.approx((p1, p2), abs=1e-15)

@@ -151,6 +151,20 @@ class TestTailEnergy:
         want = tail_energy_by_enumeration(spec.k, spec.a, m)
         assert tail_energy(spec, m) == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_array_of_widths_matches_enumeration(self, n):
+        spec = dft(random_path(n, seed=n))
+        tails = tail_energy(spec, np.arange(1, n + 1))
+        want = [tail_energy_by_enumeration(spec.k, spec.a, m) for m in range(1, n + 1)]
+        assert tails == pytest.approx(want, abs=1e-12)
+        assert type(tail_energy(spec, 3)) is float
+
+    def test_out_of_range_widths_rejected(self):
+        spec = dft(random_path(16, seed=2))
+        for m in (0, 17, 2.0, np.array([1, 17])):
+            with pytest.raises(ValueError):
+                tail_energy(spec, m)
+
     def test_weakly_decreasing_in_width(self):
         spec = dft(random_path(64, seed=11))
         tails = [tail_energy(spec, m) for m in range(1, 65)]
