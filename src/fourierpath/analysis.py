@@ -13,6 +13,9 @@ get the bound for every width in 1..m_max in one pass: the tails come
 from a single sort of the spectrum by window entry width (see
 ``spectrum.tail_energy``).  ``certify`` measures the ultimate mean-square
 following error across noise seeds and reports it against this bound.
+``reconstruction_mse`` integrates the squared gap between two curves
+exactly, by Parseval's identity, from their coefficients; no curve is
+sampled.
 
 Caveat, verified by the test suite: the noise term above understates the
 true expected passband noise energy, which is
@@ -53,8 +56,10 @@ TWO_PI = 2.0 * math.pi
 class ErrorReport:
     """Certification bundle for one window width.
 
-    * ``p_integral`` - mean over runs of the quadrature of the squared
-      curve-to-curve gap between the reference curve and the followed one.
+    * ``p_integral`` - mean over runs of the one-period integral of the
+      squared curve-to-curve gap between the reference curve and the
+      followed one, exact by Parseval's identity (see
+      :func:`reconstruction_mse`).
     * ``p_bar`` / ``delta`` - the closed-form bound (delta is the certified
       ultimate ceiling and equals p_bar by definition).
     * ``f_backward`` - backward difference p_bar(m) - p_bar(m-1), None for
@@ -62,8 +67,6 @@ class ErrorReport:
     * ``e_ms_final`` - ensemble mean over runs of the trailing-window mean
       of the squared following error; ``e_ms_per_run`` holds the per-run
       values.
-    * ``delta_is_estimate`` - True when the tail term came from noisy
-      coefficients rather than clean ones.
     """
 
     m: int
@@ -74,7 +77,6 @@ class ErrorReport:
     delta: float
     e_ms_per_run: tuple[float, ...]
     runs: int
-    delta_is_estimate: bool = False
 
     @property
     def passed(self) -> bool:
@@ -84,18 +86,21 @@ class ErrorReport:
         return self.e_ms_final <= max(self.delta, 1e-12)
 
 
-def reconstruction_mse(truth: TrigPath, approx: TrigPath, quad_points: int) -> float:
+def reconstruction_mse(truth: TrigPath, approx: TrigPath) -> float:
     """Integral over one period of the squared gap between two curves.
 
-    Uses the uniform (rectangle) rule, which is exact for trigonometric
-    integrands once quad_points exceeds twice the highest harmonic.
+    By Parseval's identity the integral is exactly
+    2*pi*sum(|a_k^truth - a_k^approx|^2) with a_k = amp*exp(i*phase), so
+    it comes from the coefficients alone.  Terms are matched by k; a k
+    that only one curve has counts in full.
     """
-    if quad_points < 64:
-        raise ValueError("quad_points must be >= 64")
-    th = TWO_PI * np.arange(quad_points) / quad_points
-    xt, yt = truth.eval(th)
-    xa, ya = approx.eval(th)
-    return float((TWO_PI / quad_points) * np.sum((xt - xa) ** 2 + (yt - ya) ** 2))
+    k = np.concatenate((truth.k, approx.k))
+    a = np.concatenate((truth.amp * np.exp(1j * truth.phase),
+                        -approx.amp * np.exp(1j * approx.phase)))
+    ks, slot = np.unique(k, return_inverse=True)
+    gap = np.zeros(ks.size, dtype=np.complex128)
+    np.add.at(gap, slot, a)
+    return float(TWO_PI * np.sum(np.abs(gap) ** 2))
 
 
 def p_bar(
@@ -103,30 +108,21 @@ def p_bar(
     m: int | np.ndarray,
     sigma1: float,
     sigma2: float,
-    n: int | None = None,
 ) -> float | np.ndarray:
     """Closed-form bound: window-admitted noise term plus discarded energy.
 
     ``m`` may be one width or an array of widths; an int width returns a
-    float, an array of widths an array.  ``n`` defaults to the spectrum's
-    own sample count; the tail is summed from whatever coefficients the
-    supplied spectrum carries (clean ones when available, noisy ones
-    otherwise).
+    float, an array of widths an array.  N is the spectrum's sample
+    count; the tail is summed from whatever coefficients the supplied
+    spectrum carries (clean ones when available, noisy ones otherwise).
     """
     _check_sigmas(sigma1, sigma2)
-    if n is None:
-        n = spec.n_samples
+    n = spec.n_samples
     noise_term = TWO_PI * (m * m) / (n * n) * (sigma1**2 + sigma2**2)
     return noise_term + TWO_PI * tail_energy(spec, m)
 
 
-def f_backward(
-    spec: Spectrum,
-    m: int,
-    sigma1: float,
-    sigma2: float,
-    n: int | None = None,
-) -> float:
+def f_backward(spec: Spectrum, m: int, sigma1: float, sigma2: float) -> float:
     """Backward difference p_bar(m) - p_bar(m-1); needs m >= 2.
 
     Computed by direct subtraction: depending on parity, growing the
@@ -135,7 +131,7 @@ def f_backward(
     """
     if m < 2:
         raise ValueError("f_backward needs m >= 2")
-    return p_bar(spec, m, sigma1, sigma2, n) - p_bar(spec, m - 1, sigma1, sigma2, n)
+    return p_bar(spec, m, sigma1, sigma2) - p_bar(spec, m - 1, sigma1, sigma2)
 
 
 def select_window(
@@ -187,7 +183,6 @@ def certify(
     params: GvfParams,
     cfg: SimConfig,
     runs: int,
-    quad_points: int | None = None,
     literal_theta_integral: bool = False,
 ) -> ErrorReport:
     """Monte-Carlo certification of the ultimate following error.
@@ -197,6 +192,8 @@ def certify(
     error against the clean full reconstruction over the final 10% of the
     horizon.  ``e_ms_final`` is the mean of those per-run values and is
     reported against delta = p_bar computed with the clean spectrum tail.
+    ``p_integral`` is the mean over runs of :func:`reconstruction_mse`
+    between the clean full reconstruction and the followed curve.
 
     Run seeds derive deterministically from ``noise.seed`` via numpy's
     SeedSequence, so a fixed master seed reproduces the report exactly.
@@ -208,11 +205,8 @@ def certify(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     clean_spec = dft(clean)
-    n = clean_spec.n_samples
     truth = make_trig_path(clean_spec)
     delta = p_bar(clean_spec, m, noise.sigma1, noise.sigma2)
-    if quad_points is None:
-        quad_points = max(256, 2 * n)
     seeds = np.random.SeedSequence(int(noise.seed)).generate_state(runs, dtype=np.uint64)
     tail_start = 0.9 * cfg.duration - 1e-12
 
@@ -229,7 +223,7 @@ def certify(
         if literal_theta_integral:
             e_tail *= TWO_PI
         e_runs.append(e_tail)
-        p_runs.append(reconstruction_mse(truth, followed, quad_points))
+        p_runs.append(reconstruction_mse(truth, followed))
 
     fb = f_backward(clean_spec, m, noise.sigma1, noise.sigma2) if m >= 2 else None
     return ErrorReport(
@@ -241,7 +235,6 @@ def certify(
         delta=delta,
         e_ms_per_run=tuple(e_runs),
         runs=runs,
-        delta_is_estimate=False,
     )
 
 

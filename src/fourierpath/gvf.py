@@ -32,6 +32,12 @@ __all__ = [
     "verify_nonsingular",
 ]
 
+# planar field components below this magnitude count as vanishing
+VANISH_TOL = 1e-9
+# where the planar components vanish the third must be >= 1; this allows
+# for rounding in its evaluation
+THIRD_COMPONENT_FLOOR = 1.0 - 1e-6
+
 
 @dataclass(frozen=True)
 class FieldState:
@@ -143,8 +149,6 @@ def verify_nonsingular(
     box,
     samples: int,
     rng_seed: int,
-    vanish_tol: float = 1e-9,
-    third_component_floor: float = 1.0 - 1e-6,
 ) -> NonSingularityReport:
     """Randomized sweep for zero field vectors inside a state-space box.
 
@@ -152,7 +156,10 @@ def verify_nonsingular(
     the uniform samples, for every sampled theta the planar point where the
     first two field components vanish exactly is also checked, so the
     vanishing-row condition (third component >= 1) is genuinely exercised
-    rather than only at states random sampling never hits.
+    rather than only at states random sampling never hits.  A state counts
+    toward that check when both planar components are below
+    ``VANISH_TOL`` in magnitude, and fails it when its third component is
+    below ``THIRD_COMPONENT_FLOOR``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -166,33 +173,20 @@ def verify_nonsingular(
     ths = rng.uniform(tlo, thi, samples)
 
     report = NonSingularityReport(samples=samples, min_field_norm=math.inf)
-    chunk = 20_000
-    for start in range(0, samples, chunk):
-        sl = slice(start, min(start + chunk, samples))
-        _scan_states(path, params, xs[sl], ys[sl], ths[sl], report,
-                     vanish_tol, third_component_floor)
-        # companion states with exactly vanishing planar rows
-        px, py, dxdt, dydt = path.eval_with_deriv(ths[sl])
-        _scan_states(
-            path,
-            params,
-            px + dxdt / params.k1,
-            py + dydt / params.k2,
-            ths[sl],
-            report,
-            vanish_tol,
-            third_component_floor,
-        )
+    _scan_states(path, params, xs, ys, ths, report)
+    # companion states with exactly vanishing planar rows
+    px, py, dxdt, dydt = path.eval_with_deriv(ths)
+    _scan_states(path, params, px + dxdt / params.k1, py + dydt / params.k2, ths, report)
     return report
 
 
-def _scan_states(path, params, xs, ys, ths, report, vanish_tol, floor):
+def _scan_states(path, params, xs, ys, ths, report):
     _, _, _, _, cx, cy, ct = _field_terms(path, xs, ys, ths, params)
     norm = np.sqrt(cx * cx + cy * cy + ct * ct)
     report.min_field_norm = min(report.min_field_norm, float(norm.min()))
     for i in np.nonzero(norm == 0.0)[0]:
         report.zero_field_states.append(FieldState(xs[i], ys[i], ths[i]))
-    near = (np.abs(cx) < vanish_tol) & (np.abs(cy) < vanish_tol)
+    near = (np.abs(cx) < VANISH_TOL) & (np.abs(cy) < VANISH_TOL)
     report.certificate_states += int(np.count_nonzero(near))
-    for i in np.nonzero(near & (ct < floor))[0]:
+    for i in np.nonzero(near & (ct < THIRD_COMPONENT_FLOOR))[0]:
         report.certificate_failures.append(FieldState(xs[i], ys[i], ths[i]))

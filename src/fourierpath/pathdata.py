@@ -82,7 +82,7 @@ class NoiseSpec:
             raise PathDataError("seed must fit in an unsigned 64-bit integer")
 
 
-def load_path(source, fmt: str = "csv") -> PathSamples:
+def load_path(source) -> PathSamples:
     """Parse an ordered point list from CSV: one ``x,y`` record per line.
 
     ``source`` may be a filesystem path, raw bytes, or an open text or
@@ -90,8 +90,6 @@ def load_path(source, fmt: str = "csv") -> PathSamples:
     field is not numeric.  Blank lines are ignored.  Malformed records
     raise :class:`PathDataError` naming the offending line.
     """
-    if fmt != "csv":
-        raise PathDataError(f"unsupported format: {fmt!r}")
     rows = []
     may_be_header = True
     for lineno, raw in enumerate(_read_lines(source), start=1):

@@ -31,17 +31,8 @@ __all__ = [
     "apply_window",
     "checked_widths",
     "tail_energy",
-    "window_bounds",
     "write_spectrum_csv",
 ]
-
-
-def window_bounds(width: int) -> tuple[int, int]:
-    """Inclusive (lo, hi) signed-index bounds of the symmetric window."""
-    if not isinstance(width, (int, np.integer)) or width < 1:
-        raise ValueError(f"window width must be an integer >= 1, got {width!r}")
-    hi = int(width) // 2
-    return -hi, hi
 
 
 def checked_widths(m: int | np.ndarray, n_samples: int) -> np.ndarray:

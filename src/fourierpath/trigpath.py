@@ -18,6 +18,8 @@ from .spectrum import Spectrum, WindowedSpectrum
 __all__ = ["TrigPath", "make_trig_path", "write_reconstruction_csv"]
 
 TWO_PI = 2.0 * math.pi
+# largest parameter-by-term table built at once when evaluating arrays
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,38 +64,46 @@ class TrigPath:
 
     def eval(self, theta):
         """Curve point(s) at theta; scalars in, floats out, arrays in, arrays out."""
-        th, w = self._rotations(theta)
-        x = w.real @ self.amp
-        y = w.imag @ self.amp
-        if th.ndim == 0:
-            return float(x), float(y)
-        return x, y
+        return self._evaluate(theta, self._point)
 
     def eval_deriv(self, theta):
         """d/dtheta of the curve at theta."""
-        th, w = self._rotations(theta)
-        dx = -(w.imag @ self._kamp)
-        dy = w.real @ self._kamp
-        if th.ndim == 0:
-            return float(dx), float(dy)
-        return dx, dy
+        return self._evaluate(theta, self._deriv)
 
     def eval_with_deriv(self, theta):
         """(x, y, dx/dtheta, dy/dtheta) sharing one trig evaluation."""
-        th, w = self._rotations(theta)
-        c, s = w.real, w.imag
-        x = c @ self.amp
-        y = s @ self.amp
-        dx = -(s @ self._kamp)
-        dy = c @ self._kamp
-        if th.ndim == 0:
-            return float(x), float(y), float(dx), float(dy)
-        return x, y, dx, dy
+        return self._evaluate(theta, self._point_and_deriv)
 
-    def _rotations(self, theta):
+    def _point(self, c, s):
+        return c @ self.amp, s @ self.amp
+
+    def _deriv(self, c, s):
+        return -(s @ self._kamp), c @ self._kamp
+
+    def _point_and_deriv(self, c, s):
+        return c @ self.amp, s @ self.amp, -(s @ self._kamp), c @ self._kamp
+
+    def _evaluate(self, theta, sums):
+        """``sums`` of the cos and sin tables of the terms at theta.
+
+        Array parameters are taken in blocks of rows whose tables hold at
+        most ``_BLOCK_ELEMENTS`` entries, so memory stays proportional to
+        the output however many terms and parameters there are.
+        """
         th = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI)
-        ang = np.multiply.outer(th, self.k) + self.phase
-        return th, np.exp(1j * ang)
+        if th.ndim == 0:
+            w = self._rotations(th)
+            return tuple(map(float, sums(w.real, w.imag)))
+        flat = th.ravel()
+        rows = max(1, _BLOCK_ELEMENTS // max(1, self.n_terms))
+        blocks = []
+        for start in range(0, max(flat.size, 1), rows):
+            w = self._rotations(flat[start:start + rows])
+            blocks.append(sums(w.real, w.imag))
+        return tuple(np.concatenate(part).reshape(th.shape) for part in zip(*blocks))
+
+    def _rotations(self, th):
+        return np.exp(1j * (np.multiply.outer(th, self.k) + self.phase))
 
 
 def make_trig_path(spec: Spectrum) -> TrigPath:

@@ -305,7 +305,7 @@ def test_criterion_08_mse_equals_coefficient_gap():
             abs(spec.coefficient(int(k)) - (w.coefficient(int(k)) if int(k) in kept else 0j)) ** 2
             for k in spec.k
         )
-        got = reconstruction_mse(truth, approx, 512)
+        got = reconstruction_mse(truth, approx)
         want = TWO_PI * gap
         worst = max(worst, abs(got - want) / max(want, 1e-30))
     ok = worst <= 1e-9

@@ -26,6 +26,7 @@ from oracles import (
     expected_passband_noise_by_enumeration,
     p_bar_reference,
     p_bar_sweep_by_entry_order,
+    quadrature_curve_gap,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -35,12 +36,12 @@ UNIT = GvfParams(1.0, 1.0)
 class TestReconstructionMse:
     def test_identical_curves_give_zero(self):
         path = make_trig_path(decaying_spectrum(32, seed=1))
-        assert reconstruction_mse(path, path, 256) <= 1e-12
+        assert reconstruction_mse(path, path) <= 1e-12
 
     def test_unit_epicycle_against_nothing(self):
         truth = make_trig_path(sparse_spectrum(8, {1: 1.0 + 0j}))
         empty = make_trig_path(sparse_spectrum(8, {}))
-        assert reconstruction_mse(truth, empty, 128) == pytest.approx(TWO_PI, rel=1e-12)
+        assert reconstruction_mse(truth, empty) == pytest.approx(TWO_PI, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_coefficient_energy_gap(self, seed):
@@ -55,12 +56,27 @@ class TestReconstructionMse:
             abs(spec.coefficient(int(k)) - (w.coefficient(int(k)) if int(k) in kept else 0j)) ** 2
             for k in spec.k
         )
-        assert reconstruction_mse(truth, approx, 512) == pytest.approx(TWO_PI * gap, rel=1e-9)
+        assert reconstruction_mse(truth, approx) == pytest.approx(TWO_PI * gap, rel=1e-9)
 
-    def test_too_few_quadrature_points_rejected(self):
-        path = make_trig_path(sparse_spectrum(8, {1: 1.0 + 0j}))
-        with pytest.raises(ValueError):
-            reconstruction_mse(path, path, 32)
+    @pytest.mark.parametrize("truth_spec, approx_spec", [
+        # the windowed 33-point curve keeps a subset of the 48-point terms
+        (dft(random_path(48, seed=0)), apply_window(dft(random_path(33, seed=1)), 9)),
+        # and here a superset
+        (apply_window(dft(random_path(48, seed=2)), 10), dft(random_path(33, seed=3))),
+        # each curve has terms the other lacks
+        (sparse_spectrum(48, {-20: 1 - 0.5j, 0: 0.3 + 0j, 3: 2j, 24: -0.7 + 0j}),
+         apply_window(dft(random_path(33, seed=4)), 9)),
+        (dft(random_path(48, seed=5)), sparse_spectrum(33, {})),
+        (sparse_spectrum(48, {}), dft(random_path(33, seed=6))),
+        (sparse_spectrum(48, {}), sparse_spectrum(33, {})),
+    ])
+    def test_matches_quadrature_of_the_gap(self, truth_spec, approx_spec):
+        # no term is above |k| = 24, so the squared gap has no harmonic
+        # above 48 and the 128-point rectangle rule integrates it exactly
+        truth = make_trig_path(truth_spec)
+        approx = make_trig_path(approx_spec)
+        want = quadrature_curve_gap(truth.eval, approx.eval, 128)
+        assert reconstruction_mse(truth, approx) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 class TestPBar:

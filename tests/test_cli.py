@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import fourierpath
+from fourierpath import cli, pathdata
 from fourierpath.cli import main
 
 
@@ -128,6 +131,7 @@ class TestSimulate:
     @pytest.mark.parametrize("args", [
         ["simulate", "--synth", "circle,64", "--duration", "2", "--stride", "0"],
         ["reconstruct", "--synth", "circle,64", "--m-list", "full", "--samples", "1"],
+        ["simulate", "--synth", "circle,64", "--duration", "2", "--conv-tol", "-1"],
     ])
     def test_bad_output_option_fails_before_any_output(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -249,6 +253,30 @@ class TestConfigFile:
         assert run(["transform", "--input", data, "--synth", "circle,8",
                     "--out-dir", tmp_path / "o"]) == 1
         assert "exactly one" in capsys.readouterr().err
+
+
+def test_memory_error_ends_in_one_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 4.47 GiB for an array")
+
+    monkeypatch.setattr(pathdata, "synth_path", exhausted)
+    assert run(["transform", "--synth", "circle,300000000",
+                "--out-dir", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 4.47 GiB for an array\n"
+
+
+def test_every_config_field_is_a_flag_and_every_flag_a_field():
+    # a RunConfig field no flag sets, or a flag no field receives, is a
+    # setting nothing can change or a value nothing reads
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    dests = {a.dest for p in commands.values() for a in p._actions
+             if not isinstance(a, argparse._HelpAction)}
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    assert fields - {"command"} - dests == set()
+    assert dests - {"config"} - fields == set()
 
 
 def test_module_entry_point(tmp_path):

@@ -50,10 +50,6 @@ class TestLoadPath:
         with pytest.raises(PathDataError):
             load_path(b"0,0\n")
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(PathDataError):
-            load_path(b"0,0\n1,1\n", fmt="tsv")
-
 
 class TestSynthPath:
     def test_circle_quarter_turns(self):

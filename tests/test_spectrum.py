@@ -16,7 +16,7 @@ from fourierpath import (
     tail_energy,
 )
 from fourierpath.fft import fft
-from fourierpath.spectrum import window_bounds, write_spectrum_csv
+from fourierpath.spectrum import write_spectrum_csv
 
 from conftest import random_path, sparse_spectrum
 from oracles import naive_coefficients, signed_indices, tail_energy_by_enumeration, window_members
@@ -102,6 +102,13 @@ class TestWindow:
         assert w.k[0] == -50 and w.k[-1] == 50
         assert w.m == 100 and w.n_samples == 758
 
+    def test_window_bounds_by_parity(self):
+        spec = dft(random_path(128, seed=3))
+        for m, hi in ((100, 50), (7, 3), (1, 0)):
+            assert apply_window(spec, m).k.tolist() == list(range(-hi, hi + 1))
+        with pytest.raises(ValueError):
+            apply_window(spec, 0)
+
     def test_kept_coefficients_pass_through_unchanged(self):
         spec = dft(random_path(31, seed=9))
         w = apply_window(spec, 10)
@@ -185,13 +192,6 @@ class TestSpectrumType:
     def test_non_finite_coefficient_rejected(self):
         with pytest.raises(ValueError):
             Spectrum(k=np.array([0]), a=np.array([np.nan + 0j]), n_samples=4)
-
-    def test_window_bounds_by_parity(self):
-        assert window_bounds(100) == (-50, 50)
-        assert window_bounds(7) == (-3, 3)
-        assert window_bounds(1) == (0, 0)
-        with pytest.raises(ValueError):
-            window_bounds(0)
 
 
 def test_csv_export_round_trips():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourierpath import apply_window, dft, make_trig_path, synth_path
+from fourierpath import apply_window, dft, make_trig_path, synth_path, trigpath
 from fourierpath.trigpath import TrigPath, write_reconstruction_csv
 
 from conftest import decaying_spectrum, random_path, sparse_spectrum
@@ -50,6 +50,23 @@ def test_windowed_eval_matches_direct_partial_sum():
     assert np.max(np.abs(y - c.imag)) < 1e-12
 
 
+def test_array_evaluation_in_blocks(monkeypatch):
+    # 33 terms under a 100-element budget give 3-row blocks, so the 4x5
+    # parameters take seven blocks, the last one partial
+    monkeypatch.setattr(trigpath, "_BLOCK_ELEMENTS", 100)
+    w = apply_window(dft(random_path(64, seed=6)), 32)
+    path = make_trig_path(w)
+    th = np.linspace(-7.0, 9.0, 20).reshape(4, 5)
+    c = partial_sum(w.k, w.a, th)
+    x, y, dx, dy = path.eval_with_deriv(th)
+    assert x.shape == th.shape
+    assert np.max(np.abs(x - c.real)) < 1e-12
+    assert np.max(np.abs(y - c.imag)) < 1e-12
+    assert all(np.array_equal(a, b) for a, b in zip((x, y), path.eval(th)))
+    assert all(np.array_equal(a, b) for a, b in zip((dx, dy), path.eval_deriv(th)))
+    assert path.eval(np.empty(0))[0].shape == (0,)
+
+
 def test_derivative_matches_central_difference():
     path = make_trig_path(apply_window(decaying_spectrum(128, seed=3), 24))
     rng = np.random.default_rng(10)
@@ -77,7 +94,7 @@ def test_truncation_error_is_monotone_on_clean_data():
     spec = decaying_spectrum(64, seed=4)
     truth = make_trig_path(spec)
     errors = [
-        reconstruction_mse(truth, make_trig_path(apply_window(spec, m)), 512)
+        reconstruction_mse(truth, make_trig_path(apply_window(spec, m)))
         for m in range(1, 65)
     ]
     assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
