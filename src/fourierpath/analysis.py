@@ -183,7 +183,6 @@ def certify(
     params: GvfParams,
     cfg: SimConfig,
     runs: int,
-    literal_theta_integral: bool = False,
 ) -> ErrorReport:
     """Monte-Carlo certification of the ultimate following error.
 
@@ -197,10 +196,6 @@ def certify(
 
     Run seeds derive deterministically from ``noise.seed`` via numpy's
     SeedSequence, so a fixed master seed reproduces the report exactly.
-
-    ``literal_theta_integral`` multiplies the error readings by 2*pi,
-    turning the ensemble average into the literal one-period integral of
-    the (parameter-independent) integrand; kept for audits.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -219,10 +214,7 @@ def certify(
             traj = integrate(followed, params, cfg, truth=truth)
         except IntegrationError as exc:
             raise IntegrationError(exc.step, f"run {run}: {exc}") from exc
-        e_tail = float(np.mean(traj.e_inst[traj.t >= tail_start]))
-        if literal_theta_integral:
-            e_tail *= TWO_PI
-        e_runs.append(e_tail)
+        e_runs.append(float(np.mean(traj.e_inst[traj.t >= tail_start])))
         p_runs.append(reconstruction_mse(truth, followed))
 
     fb = f_backward(clean_spec, m, noise.sigma1, noise.sigma2) if m >= 2 else None

@@ -1,11 +1,12 @@
 """Command-line driver wiring the pipeline end to end.
 
 Commands: ``transform``, ``reconstruct``, ``simulate``, ``certify``,
-``sweep``.  Every run echoes its fully resolved configuration into the
-output directory, all numeric output carries 17 significant digits, and a
-rerun with the same configuration (seeds included) produces byte-identical
-files.  A JSON config file given with --config overrides any conflicting
-command-line flag.
+``sweep``.  Each takes flags and --config file keys (the file wins
+conflicts) only for the :class:`RunConfig` settings it reads, listed in
+:data:`COMMANDS`, and echoes those settings into the output directory.
+Bad input ends in one ``error:`` line and exit code 1.  All numeric output
+carries 17 significant digits, and a rerun with the same configuration
+(seeds included) produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,61 +23,55 @@ import numpy as np
 
 from . import analysis, gvf, pathdata, sim, spectrum, trigpath
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main", "RunConfig", "COMMANDS"]
 
 
 class CliError(Exception):
     pass
 
 
+def _setting(default, help_text: str):
+    return dataclasses.field(default=default, metadata={"help": help_text})
+
+
 @dataclasses.dataclass
 class RunConfig:
-    """Resolved settings for one command invocation."""
+    """Resolved settings; each field is the one declaration of a setting."""
 
     command: str
-    input: str | None = None
-    synth: str | None = None
-    sigma1: float = 0.0
-    sigma2: float = 0.0
-    seed: int = 0
-    window_m: int | None = None
-    window_auto: bool = False
-    window_max: int | None = None
-    k1: float = 1.0
-    k2: float = 1.0
-    x0: float = 0.0
-    y0: float = 0.0
-    theta0: float = 0.0
-    duration: float = 20.0
-    dt: float = 1e-3
-    method: str = "rk4"
-    runs: int = 20
-    out_dir: str = "out"
-    m_list: str | None = None
-    samples: int = 1024
-    stride: int = 1
-    conv_tol: float = 1e-4
-    literal_theta_integral: bool = False
+    input: str | None = _setting(None, "CSV file of x,y records")
+    synth: str | None = _setting(None, "synthetic dataset 'kind,n[,params...]'")
+    sigma1: float = _setting(0.0, "noise standard deviation on x")
+    sigma2: float = _setting(0.0, "noise standard deviation on y")
+    seed: int = _setting(0, "noise seed")
+    window_m: int | None = _setting(None, "window width; omit for the full spectrum")
+    window_auto: bool = _setting(False, "pick the width minimizing the error bound")
+    window_max: int | None = _setting(None, "largest width tried; default N")
+    k1: float = _setting(1.0, "field gain k1")
+    k2: float = _setting(1.0, "field gain k2")
+    x0: float = _setting(0.0, "initial x")
+    y0: float = _setting(0.0, "initial y")
+    theta0: float = _setting(0.0, "initial path parameter")
+    duration: float = _setting(20.0, "simulated horizon")
+    dt: float = _setting(1e-3, "integration step")
+    method: typing.Literal["rk4", "euler"] = _setting("rk4", "integrator")
+    runs: int = _setting(20, "Monte-Carlo runs")
+    out_dir: str = _setting("out", "output directory")
+    m_list: str | None = _setting(None, "comma list of widths, 'full' allowed")
+    samples: int = _setting(1024, "curve samples per exported reconstruction")
+    stride: int = _setting(1, "keep every stride-th trajectory row")
+    conv_tol: float = _setting(1e-4, "offset tolerance for the convergence-time summary")
 
 
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        _check_output_options(cfg)
+        cfg = _resolve_config(_build_parser().parse_args(argv))
+        _check_options(cfg)
         out = _prepare_out_dir(cfg)
-        handler = {
-            "transform": _cmd_transform,
-            "reconstruct": _cmd_reconstruct,
-            "simulate": _cmd_simulate,
-            "certify": _cmd_certify,
-            "sweep": _cmd_sweep,
-        }[cfg.command]
-        handler(cfg, out)
+        COMMANDS[cfg.command][2](cfg, out)
     except (CliError, pathdata.PathDataError, sim.IntegrationError,
             ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -97,17 +92,11 @@ def _cmd_transform(cfg: RunConfig, out: Path) -> None:
 
 
 def _cmd_reconstruct(cfg: RunConfig, out: Path) -> None:
-    if not cfg.m_list:
-        raise CliError("reconstruct needs --m-list, e.g. --m-list 10,20,full")
     spec = _spectrum_for(cfg)
-    for token in cfg.m_list.split(","):
-        token = token.strip()
-        if token == "full":
-            path, label = trigpath.make_trig_path(spec), "full"
-        else:
-            m = _parse_int(token, "m value")
-            path, label = trigpath.make_trig_path(spectrum.apply_window(spec, m)), str(m)
-        target = out / f"reconstruction_{label}.csv"
+    for m in _reconstruct_widths(cfg):
+        windowed = spec if m is None else spectrum.apply_window(spec, m)
+        path = trigpath.make_trig_path(windowed)
+        target = out / f"reconstruction_{'full' if m is None else m}.csv"
         with open(target, "w", newline="\n") as fh:
             trigpath.write_reconstruction_csv(path, fh, cfg.samples)
         print(f"wrote {target}")
@@ -146,7 +135,6 @@ def _cmd_certify(cfg: RunConfig, out: Path) -> None:
         _params(cfg),
         _sim_config(cfg),
         cfg.runs,
-        literal_theta_integral=cfg.literal_theta_integral,
     )
     _write_sweep_csv(out / "sweep.csv", clean_spec, cfg)
     with open(out / "report.json", "w", newline="\n") as fh:
@@ -163,130 +151,147 @@ def _cmd_certify(cfg: RunConfig, out: Path) -> None:
 def _cmd_sweep(cfg: RunConfig, out: Path) -> None:
     spec = _spectrum_for(cfg)
     _write_sweep_csv(out / "sweep.csv", spec, cfg)
-    m_max = cfg.window_max or spec.n_samples
-    m_star, bound = analysis.select_window(spec, cfg.sigma1, cfg.sigma2, m_max)
+    m_star, bound = analysis.select_window(spec, cfg.sigma1, cfg.sigma2,
+                                           _window_max(spec, cfg))
     print(f"m_star={m_star} p_bar={bound:.17g}")
     print(f"wrote {out / 'sweep.csv'}")
+
+
+_COMMON = ("input", "synth", "sigma1", "sigma2", "seed", "out_dir")
+_CLOSED_LOOP = ("window_m", "window_auto", "window_max", "k1", "k2", "x0", "y0",
+                "theta0", "duration", "dt", "method")
+
+# command -> (help text, the settings its handler reads, handler)
+COMMANDS = {
+    "transform": ("transform path data and export the amplitude spectrum",
+                  _COMMON, _cmd_transform),
+    "reconstruct": ("export reconstructed curves for a list of window widths",
+                    _COMMON + ("m_list", "samples"), _cmd_reconstruct),
+    "simulate": ("run one closed-loop simulation and export the trajectory",
+                 _COMMON + _CLOSED_LOOP + ("stride", "conv_tol"), _cmd_simulate),
+    "certify": ("Monte-Carlo certification of the ultimate following error",
+                _COMMON + _CLOSED_LOOP + ("runs",), _cmd_certify),
+    "sweep": ("tabulate the error bound against the window width",
+              _COMMON + ("window_max",), _cmd_sweep),
+}
 
 
 # ---------------------------------------------------------------------------
 # plumbing
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a :class:`CliError`, not a usage dump."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fourierpath",
         description="Spectral reconstruction and guided path following "
                     "for discrete planar path data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "transform": "transform path data and export the amplitude spectrum",
-        "reconstruct": "export reconstructed curves for a list of window widths",
-        "simulate": "run one closed-loop simulation and export the trajectory",
-        "certify": "Monte-Carlo certification of the ultimate following error",
-        "sweep": "tabulate the error bound against the window width",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p)
-        if name == "reconstruct":
-            p.add_argument("--m-list", help="comma list of widths, 'full' allowed")
-            p.add_argument("--samples", type=int, default=1024,
-                           help="curve samples per exported reconstruction")
-        if name == "simulate":
-            p.add_argument("--stride", type=int, default=1,
-                           help="keep every stride-th trajectory row")
-            p.add_argument("--conv-tol", type=float, default=1e-4,
-                           help="offset tolerance for the convergence-time summary")
-        if name == "certify":
-            p.add_argument("--literal-theta-integral", action="store_true",
-                           help="report 2*pi times the ensemble error reading")
+    for name, (help_text, settings, _) in COMMANDS.items():
+        # a flag left out stays out of the namespace, so RunConfig supplies its default
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="JSON config file; overrides flags on conflict")
+        for f in dataclasses.fields(RunConfig):
+            if f.name in settings:
+                p.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"],
+                               **_flag_kind(_FIELD_TYPES[f.name]))
     return parser
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; overrides flags on conflict")
-    p.add_argument("--input", help="CSV file of x,y records")
-    p.add_argument("--synth", help="synthetic dataset 'kind,n[,params...]'")
-    p.add_argument("--sigma1", type=float, default=0.0)
-    p.add_argument("--sigma2", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window-m", type=int, default=None,
-                   help="window width; omit for the full spectrum")
-    p.add_argument("--window-auto", action="store_true",
-                   help="pick the width minimizing the error bound")
-    p.add_argument("--window-max", type=int, default=None,
-                   help="largest width considered by --window-auto and sweep")
-    p.add_argument("--k1", type=float, default=1.0)
-    p.add_argument("--k2", type=float, default=1.0)
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--y0", type=float, default=0.0)
-    p.add_argument("--theta0", type=float, default=0.0)
-    p.add_argument("--duration", type=float, default=20.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--method", choices=("rk4", "euler"), default="rk4")
-    p.add_argument("--runs", type=int, default=20)
-    p.add_argument("--out-dir", default="out")
+def _flag_kind(hint) -> dict:
+    if hint is bool:
+        return {"action": "store_true"}
+    if typing.get_origin(hint) is typing.Literal:
+        return {"choices": typing.get_args(hint)}
+    # the flag of an optional setting takes the type before `| None`
+    return {"type": (typing.get_args(hint) or (hint,))[0]}
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    values = {k: v for k, v in vars(args).items() if k not in ("config",)}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                overrides = json.load(fh)
-        except FileNotFoundError:
-            raise CliError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config file {args.config}: {exc}")
-        if not isinstance(overrides, dict):
-            raise CliError("config file must hold a JSON object")
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        for key, value in overrides.items():
-            name = key.replace("-", "_")
-            if name not in known or name == "command":
-                raise CliError(f"config file {args.config}: unknown key {key!r}")
-            values[name] = _config_value(args.config, key, name, value)
-    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-    merged = {**defaults, **values}
-    return RunConfig(**merged)
+    values = vars(args)
+    source = values.pop("config", None)
+    if source:
+        values.update(_config_file(source, values["command"]))
+    return RunConfig(**values)
 
 
-def _config_value(source: str, key: str, name: str, value):
-    """A config-file value checked against its RunConfig field type.
+def _config_file(source: str, command: str) -> dict:
+    """The settings of ``command`` a JSON config file sets, type-checked."""
+    try:
+        with open(source) as fh:
+            overrides = json.load(fh)
+    except FileNotFoundError:
+        raise CliError(f"config file not found: {source}")
+    except json.JSONDecodeError as exc:
+        raise CliError(f"config file {source}: {exc}")
+    if not isinstance(overrides, dict):
+        raise CliError("config file must hold a JSON object")
+    return dict(_config_item(source, command, key, value)
+                for key, value in overrides.items())
+
+
+def _config_item(source: str, command: str, key: str, value) -> tuple:
+    """A config-file key as a setting of ``command`` with its checked value.
 
     JSON integers are accepted for float fields and stored as floats.
     """
+    name = key.replace("-", "_")
+    if name not in COMMANDS[command][1]:
+        raise CliError(f"config file {source}: unknown key {key!r} for {command}")
     allowed = typing.get_args(_FIELD_TYPES[name]) or (_FIELD_TYPES[name],)
     if float in allowed and type(value) is int:
-        return float(value)
-    if type(value) in allowed:
-        return value
-    names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+        return name, float(value)
+    # a Literal hint lists the allowed values, any other hint the allowed types
+    if type(value) in allowed or value in allowed:
+        return name, value
+    names = " or ".join("null" if t is type(None) else getattr(t, "__name__", repr(t))
+                        for t in allowed)
     raise CliError(f"config file {source}: {key!r} must be {names}, got {value!r}")
 
 
-def _check_output_options(cfg: RunConfig) -> None:
-    if cfg.stride < 1:
-        raise CliError(f"stride must be >= 1, got {cfg.stride}")
-    if cfg.samples < 2:
-        raise CliError(f"samples must be >= 2, got {cfg.samples}")
+def _check_options(cfg: RunConfig) -> None:
+    """Every check that needs no data; the width bound N is checked on use."""
+    if bool(cfg.input) == bool(cfg.synth):
+        raise CliError("give exactly one of --input or --synth")
+    if cfg.window_auto and cfg.window_m is not None:
+        raise CliError("give at most one of --window-m or --window-auto")
+    widths = _reconstruct_widths(cfg) if cfg.command == "reconstruct" else []
+    for flag, value, least in (("stride", cfg.stride, 1), ("samples", cfg.samples, 2),
+                               ("window-m", cfg.window_m, 1),
+                               ("window-max", cfg.window_max, 1),
+                               *(("m-list width", m, 1) for m in widths)):
+        if value is not None and value < least:
+            raise CliError(f"{flag} must be >= {least}, got {value}")
     if not (math.isfinite(cfg.conv_tol) and cfg.conv_tol >= 0):
         raise CliError(f"conv-tol must be finite and >= 0, got {cfg.conv_tol}")
+
+
+def _reconstruct_widths(cfg: RunConfig) -> list[int | None]:
+    """The --m-list widths in order; None stands for the full spectrum."""
+    if not cfg.m_list:
+        raise CliError("reconstruct needs --m-list, e.g. --m-list 10,20,full")
+    tokens = [token.strip() for token in cfg.m_list.split(",")]
+    return [None if token == "full" else _parse_int(token, "m value") for token in tokens]
 
 
 def _prepare_out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    resolved = {"command": cfg.command,
+                **{name: getattr(cfg, name) for name in COMMANDS[cfg.command][1]}}
     with open(out / "resolved_config.json", "w", newline="\n") as fh:
-        json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
+        json.dump(resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return out
 
 
 def _load_samples(cfg: RunConfig) -> pathdata.PathSamples:
-    if bool(cfg.input) == bool(cfg.synth):
-        raise CliError("give exactly one of --input or --synth")
     if cfg.input:
         source = Path(cfg.input)
         if not source.exists():
@@ -313,13 +318,16 @@ def _spectrum_for(cfg: RunConfig) -> spectrum.Spectrum:
 
 def _window_width(spec: spectrum.Spectrum, cfg: RunConfig) -> int:
     if cfg.window_auto:
-        m, _ = analysis.select_window(
-            spec, cfg.sigma1, cfg.sigma2, cfg.window_max or spec.n_samples
-        )
+        m, _ = analysis.select_window(spec, cfg.sigma1, cfg.sigma2, _window_max(spec, cfg))
         return m
     if cfg.window_m is not None:
         return cfg.window_m
     return spec.n_samples
+
+
+def _window_max(spec: spectrum.Spectrum, cfg: RunConfig) -> int:
+    """--window-max, which defaults to the sample count N."""
+    return spec.n_samples if cfg.window_max is None else cfg.window_max
 
 
 def _params(cfg: RunConfig) -> gvf.GvfParams:
@@ -336,8 +344,7 @@ def _sim_config(cfg: RunConfig) -> sim.SimConfig:
 
 
 def _write_sweep_csv(target: Path, spec: spectrum.Spectrum, cfg: RunConfig) -> None:
-    m_max = cfg.window_max or spec.n_samples
-    rows = analysis.window_sweep(spec, cfg.sigma1, cfg.sigma2, m_max)
+    rows = analysis.window_sweep(spec, cfg.sigma1, cfg.sigma2, _window_max(spec, cfg))
     with open(target, "w", newline="\n") as fh:
         fh.write("m,p_bar,f_backward,tail_energy\n")
         for m, bound, diff, tail in rows:

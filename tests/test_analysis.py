@@ -267,19 +267,6 @@ class TestCertify:
         assert a == b
         assert a.e_ms_per_run == b.e_ms_per_run
 
-    def test_literal_integral_flag_scales_by_two_pi(self):
-        clean = synth_path("circle", 48, [1.0])
-        kwargs = dict(
-            noise=NoiseSpec(0.05, 0.05, 9),
-            m=6,
-            params=UNIT,
-            cfg=SimConfig(FieldState(1.0, 0.0, 0.0), duration=4.0, dt=2e-3),
-            runs=3,
-        )
-        plain = certify(clean, **kwargs)
-        literal = certify(clean, literal_theta_integral=True, **kwargs)
-        assert literal.e_ms_final == pytest.approx(TWO_PI * plain.e_ms_final, rel=1e-12)
-
     def test_small_width_report_has_no_backward_difference(self):
         clean = synth_path("circle", 32, [1.0])
         report = certify(

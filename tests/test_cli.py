@@ -132,6 +132,21 @@ class TestSimulate:
         ["simulate", "--synth", "circle,64", "--duration", "2", "--stride", "0"],
         ["reconstruct", "--synth", "circle,64", "--m-list", "full", "--samples", "1"],
         ["simulate", "--synth", "circle,64", "--duration", "2", "--conv-tol", "-1"],
+        # checks that need no data
+        ["transform"],
+        ["transform", "--input", "absent.csv", "--synth", "circle,8"],
+        ["reconstruct", "--synth", "circle,32"],
+        ["reconstruct", "--synth", "circle,32", "--m-list", "10,abc"],
+        ["reconstruct", "--synth", "circle,32", "--m-list", "10,0"],
+        ["simulate", "--synth", "circle,64", "--window-m", "0"],
+        ["simulate", "--synth", "circle,64", "--window-m", "3", "--window-auto"],
+        ["sweep", "--synth", "circle,32", "--window-max", "0"],
+        # flags the command does not take, and unparsable flags
+        ["transform", "--synth", "circle,8", "--window-m", "3"],
+        ["transform", "--synth", "circle,8", "--k1", "2"],
+        ["simulate", "--synth", "circle,64", "--dt", "abc"],
+        ["certify", "--synth", "circle,64", "--method", "rk5"],
+        [],
     ])
     def test_bad_output_option_fails_before_any_output(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -139,6 +154,12 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert "--window-m" in capsys.readouterr().out
 
     def test_absurd_step_fails_with_context(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -217,6 +238,9 @@ class TestConfigFile:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["sigma1"] == 0.25
         assert resolved["seed"] == 11
+        # only the settings transform reads are echoed
+        assert set(resolved) == {"command", "input", "synth", "sigma1", "sigma2",
+                                 "seed", "out_dir"}
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -225,27 +249,49 @@ class TestConfigFile:
                     "--out-dir", tmp_path / "o"]) == 1
         assert "sigmaX" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [
-        ("runs", "3"), ("k1", None), ("window_auto", 1), ("seed", 2.5),
-        ("window_m", True), ("input", 5),
-    ])
-    def test_wrongly_typed_value_rejected(self, tmp_path, capsys, key, value):
+    def test_key_the_command_does_not_read_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({key: value}))
+        cfg.write_text(json.dumps({"runs": 3}))
         assert run(["transform", "--synth", "circle,16", "--config", cfg,
                     "--out-dir", tmp_path / "o"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: config file {cfg}:")
-        assert repr(key) in err and err.count("\n") == 1
+        assert "'runs'" in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    # certify reads every key below; transform reads only seed and input
+    @pytest.mark.parametrize("command,key,value", [
+        pytest.param("certify", "runs", "3", id="runs-3"),
+        pytest.param("certify", "k1", None, id="k1-None"),
+        pytest.param("certify", "window_auto", 1, id="window_auto-1"),
+        pytest.param("transform", "seed", 2.5, id="seed-2.5"),
+        pytest.param("certify", "window_m", True, id="window_m-True"),
+        pytest.param("transform", "input", 5, id="input-5"),
+        pytest.param("certify", "method", "rk5", id="method-rk5"),
+    ])
+    def test_wrongly_typed_value_rejected(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run([command, "--synth", "circle,16", "--config", cfg,
+                    "--out-dir", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: {key!r} must be ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_integer_accepted_for_float_field(self, tmp_path):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"sigma1": 1, "window_m": None}))
+        cfg.write_text(json.dumps({"sigma1": 1}))
         out = tmp_path / "out"
         assert run(["transform", "--synth", "circle,16", "--config", cfg,
                     "--out-dir", out]) == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["sigma1"] == 1.0 and isinstance(resolved["sigma1"], float)
+        # null is accepted for an optional setting, on a command that reads it
+        cfg.write_text(json.dumps({"window_m": None}))
+        assert run(["simulate", "--synth", "circle,16", "--x0", "1", "--duration", "0.01",
+                    "--config", cfg, "--out-dir", out]) == 0
+        assert json.loads((out / "resolved_config.json").read_text())["window_m"] is None
 
     def test_both_input_and_synth_rejected(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -272,11 +318,16 @@ def test_every_config_field_is_a_flag_and_every_flag_a_field():
     parser = cli._build_parser()
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
-    dests = {a.dest for p in commands.values() for a in p._actions
-             if not isinstance(a, argparse._HelpAction)}
+    dests = {name: {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
+             for name, p in commands.items()}
     fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
-    assert fields - {"command"} - dests == set()
-    assert dests - {"config"} - fields == set()
+    every = set().union(*dests.values())
+    assert fields - {"command"} - every == set()
+    assert every - {"config"} - fields == set()
+    # each command takes flags for exactly the settings it reads
+    assert set(commands) == set(cli.COMMANDS)
+    for name, flags in dests.items():
+        assert flags == {"config", *cli.COMMANDS[name][1]}, name
 
 
 def test_module_entry_point(tmp_path):
