@@ -10,16 +10,13 @@ from .pathdata import (
     load_path,
     synth_path,
 )
-from .spectrum import Spectrum, WindowedSpectrum, apply_window, dft, idft, tail_energy
+from .spectrum import Spectrum, apply_window, dft, tail_energy
 from .trigpath import TrigPath, make_trig_path
 from .gvf import (
-    FieldSample,
     FieldState,
     GvfParams,
     NonSingularityReport,
-    chi,
     lyapunov_rate,
-    phi,
     verify_nonsingular,
 )
 from .sim import IntegrationError, SimConfig, Trajectory, convergence_time, integrate
@@ -43,20 +40,15 @@ __all__ = [
     "load_path",
     "synth_path",
     "Spectrum",
-    "WindowedSpectrum",
     "apply_window",
     "dft",
-    "idft",
     "tail_energy",
     "TrigPath",
     "make_trig_path",
-    "FieldSample",
     "FieldState",
     "GvfParams",
     "NonSingularityReport",
-    "chi",
     "lyapunov_rate",
-    "phi",
     "verify_nonsingular",
     "IntegrationError",
     "SimConfig",

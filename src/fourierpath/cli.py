@@ -4,7 +4,8 @@ Commands: ``transform``, ``reconstruct``, ``simulate``, ``certify``,
 ``sweep``.  Each takes flags and --config file keys (the file wins
 conflicts) only for the :class:`RunConfig` settings it reads, listed in
 :data:`COMMANDS`, and echoes those settings into the output directory.
-Bad input ends in one ``error:`` line and exit code 1.  All numeric output
+Bad input ends in one ``error:`` line and exit code 1; the settings and the
+data are all checked before the output directory is made.  All numeric output
 carries 17 significant digits, and a rerun with the same configuration
 (seeds included) produces byte-identical files.
 """
@@ -18,8 +19,6 @@ import math
 import sys
 import typing
 from pathlib import Path
-
-import numpy as np
 
 from . import analysis, gvf, pathdata, sim, spectrum, trigpath
 
@@ -68,10 +67,17 @@ _FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 def main(argv=None) -> int:
     try:
-        cfg = _resolve_config(_build_parser().parse_args(argv))
+        args, unknown = _build_parser().parse_known_args(argv)
+        if unknown:
+            raise CliError(f"fourierpath {args.command}: unrecognized arguments: "
+                           + " ".join(unknown))
+        cfg = _resolve_config(args)
         _check_options(cfg)
+        clean = _load_samples(cfg)
+        for _, m in _widths(cfg):
+            spectrum.checked_widths(m, clean.n_samples)
         out = _prepare_out_dir(cfg)
-        COMMANDS[cfg.command][2](cfg, out)
+        COMMANDS[cfg.command][2](cfg, clean, out)
     except (CliError, pathdata.PathDataError, sim.IntegrationError,
             ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -82,8 +88,8 @@ def main(argv=None) -> int:
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_transform(cfg: RunConfig, out: Path) -> None:
-    spec = _spectrum_for(cfg)
+def _cmd_transform(cfg: RunConfig, clean: pathdata.PathSamples, out: Path) -> None:
+    spec = spectrum.dft(_perturbed(clean, cfg))
     target = out / "spectrum.csv"
     with open(target, "w", newline="\n") as fh:
         spectrum.write_spectrum_csv(spec, fh)
@@ -91,8 +97,8 @@ def _cmd_transform(cfg: RunConfig, out: Path) -> None:
     print(f"wrote {target}")
 
 
-def _cmd_reconstruct(cfg: RunConfig, out: Path) -> None:
-    spec = _spectrum_for(cfg)
+def _cmd_reconstruct(cfg: RunConfig, clean: pathdata.PathSamples, out: Path) -> None:
+    spec = spectrum.dft(_perturbed(clean, cfg))
     for m in _reconstruct_widths(cfg):
         windowed = spec if m is None else spectrum.apply_window(spec, m)
         path = trigpath.make_trig_path(windowed)
@@ -102,8 +108,7 @@ def _cmd_reconstruct(cfg: RunConfig, out: Path) -> None:
         print(f"wrote {target}")
 
 
-def _cmd_simulate(cfg: RunConfig, out: Path) -> None:
-    clean = _load_samples(cfg)
+def _cmd_simulate(cfg: RunConfig, clean: pathdata.PathSamples, out: Path) -> None:
     data = _perturbed(clean, cfg)
     spec = spectrum.dft(data)
     followed = trigpath.make_trig_path(
@@ -124,13 +129,12 @@ def _cmd_simulate(cfg: RunConfig, out: Path) -> None:
     print(f"wrote {target}")
 
 
-def _cmd_certify(cfg: RunConfig, out: Path) -> None:
-    clean = _load_samples(cfg)
+def _cmd_certify(cfg: RunConfig, clean: pathdata.PathSamples, out: Path) -> None:
     clean_spec = spectrum.dft(clean)
     m = _window_width(clean_spec, cfg)
     report = analysis.certify(
         clean,
-        pathdata.NoiseSpec(cfg.sigma1, cfg.sigma2, cfg.seed),
+        _noise(cfg),
         m,
         _params(cfg),
         _sim_config(cfg),
@@ -148,8 +152,8 @@ def _cmd_certify(cfg: RunConfig, out: Path) -> None:
     print(f"wrote {out / 'report.json'}, {out / 'report.txt'}, {out / 'sweep.csv'}")
 
 
-def _cmd_sweep(cfg: RunConfig, out: Path) -> None:
-    spec = _spectrum_for(cfg)
+def _cmd_sweep(cfg: RunConfig, clean: pathdata.PathSamples, out: Path) -> None:
+    spec = spectrum.dft(_perturbed(clean, cfg))
     _write_sweep_csv(out / "sweep.csv", spec, cfg)
     m_star, bound = analysis.select_window(spec, cfg.sigma1, cfg.sigma2,
                                            _window_max(spec, cfg))
@@ -256,20 +260,30 @@ def _config_item(source: str, command: str, key: str, value) -> tuple:
 
 
 def _check_options(cfg: RunConfig) -> None:
-    """Every check that needs no data; the width bound N is checked on use."""
+    """Every check that needs no data; unread settings keep defaults that pass."""
     if bool(cfg.input) == bool(cfg.synth):
         raise CliError("give exactly one of --input or --synth")
     if cfg.window_auto and cfg.window_m is not None:
         raise CliError("give at most one of --window-m or --window-auto")
-    widths = _reconstruct_widths(cfg) if cfg.command == "reconstruct" else []
     for flag, value, least in (("stride", cfg.stride, 1), ("samples", cfg.samples, 2),
-                               ("window-m", cfg.window_m, 1),
-                               ("window-max", cfg.window_max, 1),
-                               *(("m-list width", m, 1) for m in widths)):
-        if value is not None and value < least:
+                               ("runs", cfg.runs, 1),
+                               *((flag, m, 1) for flag, m in _widths(cfg))):
+        if value < least:
             raise CliError(f"{flag} must be >= {least}, got {value}")
     if not (math.isfinite(cfg.conv_tol) and cfg.conv_tol >= 0):
         raise CliError(f"conv-tol must be finite and >= 0, got {cfg.conv_tol}")
+    # the constructors validate their own fields
+    _noise(cfg)
+    _params(cfg)
+    _sim_config(cfg)
+
+
+def _widths(cfg: RunConfig) -> list[tuple[str, int]]:
+    """(flag, width) for every window width given, for the checks against 1 and N."""
+    listed = _reconstruct_widths(cfg) if cfg.command == "reconstruct" else []
+    given = [("window-m", cfg.window_m), ("window-max", cfg.window_max),
+             *(("m-list width", m) for m in listed)]
+    return [(flag, m) for flag, m in given if m is not None]
 
 
 def _reconstruct_widths(cfg: RunConfig) -> list[int | None]:
@@ -309,11 +323,11 @@ def _load_samples(cfg: RunConfig) -> pathdata.PathSamples:
 def _perturbed(clean: pathdata.PathSamples, cfg: RunConfig) -> pathdata.PathSamples:
     if cfg.sigma1 == 0.0 and cfg.sigma2 == 0.0:
         return clean
-    return pathdata.add_noise(clean, pathdata.NoiseSpec(cfg.sigma1, cfg.sigma2, cfg.seed))
+    return pathdata.add_noise(clean, _noise(cfg))
 
 
-def _spectrum_for(cfg: RunConfig) -> spectrum.Spectrum:
-    return spectrum.dft(_perturbed(_load_samples(cfg), cfg))
+def _noise(cfg: RunConfig) -> pathdata.NoiseSpec:
+    return pathdata.NoiseSpec(cfg.sigma1, cfg.sigma2, cfg.seed)
 
 
 def _window_width(spec: spectrum.Spectrum, cfg: RunConfig) -> int:

@@ -17,7 +17,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["fft", "ifft"]
+__all__ = ["fft"]
 
 # Largest prime length handled by the direct O(n^2) kernel; beyond this
 # the chirp-convolution path is both faster and just as accurate.
@@ -30,14 +30,6 @@ def fft(x) -> np.ndarray:
     if data.ndim != 1 or data.size == 0:
         raise ValueError("fft expects a non-empty 1-D sequence")
     return _fft_any(data)
-
-
-def ifft(x) -> np.ndarray:
-    """Inverse of :func:`fft`, carrying the 1/n factor."""
-    data = np.ascontiguousarray(x, dtype=np.complex128)
-    if data.ndim != 1 or data.size == 0:
-        raise ValueError("ifft expects a non-empty 1-D sequence")
-    return np.conj(_fft_any(np.conj(data))) / data.size
 
 
 def _fft_any(x: np.ndarray) -> np.ndarray:

@@ -24,10 +24,7 @@ from .trigpath import TrigPath
 __all__ = [
     "FieldState",
     "GvfParams",
-    "FieldSample",
     "NonSingularityReport",
-    "phi",
-    "chi",
     "lyapunov_rate",
     "verify_nonsingular",
 ]
@@ -67,20 +64,6 @@ class GvfParams:
                 raise ValueError(f"{name} must be finite and > 0, got {v!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class FieldSample:
-    """Field vector plus the offsets and quadratic energy at one state.
-
-    ``chi`` is never the zero vector: its planar rows only vanish where the
-    third component is >= 1.
-    """
-
-    chi: np.ndarray
-    phi1: float
-    phi2: float
-    lyapunov_v1: float
-
-
 @dataclass(eq=False)
 class NonSingularityReport:
     """Outcome of randomized zero-vector sweep plus the vanishing-row check."""
@@ -110,23 +93,6 @@ def _field_terms(path: TrigPath, x, y, theta, params: GvfParams):
     cy = -dphi2 - params.k2 * phi2
     ct = 1.0 - params.k1 * phi1 * dphi1 - params.k2 * phi2 * dphi2
     return phi1, phi2, dphi1, dphi2, cx, cy, ct
-
-
-def phi(path: TrigPath, state: FieldState) -> tuple[float, float]:
-    """Planar offsets from the curve point at the state's parameter."""
-    px, py = path.eval(state.theta)
-    return state.x - px, state.y - py
-
-
-def chi(path: TrigPath, state: FieldState, params: GvfParams) -> FieldSample:
-    """Evaluate the guiding field at one state."""
-    phi1, phi2, _, _, cx, cy, ct = _field_terms(
-        path, state.x, state.y, state.theta, params
-    )
-    v1 = params.k1 * phi1 * phi1 + params.k2 * phi2 * phi2
-    return FieldSample(
-        chi=np.array((cx, cy, ct)), phi1=phi1, phi2=phi2, lyapunov_v1=v1
-    )
 
 
 def lyapunov_rate(path: TrigPath, state: FieldState, params: GvfParams) -> float:

@@ -74,10 +74,6 @@ class Trajectory:
     def n_rows(self) -> int:
         return self.t.size
 
-    @property
-    def final_state(self) -> FieldState:
-        return FieldState(float(self.x[-1]), float(self.y[-1]), float(self.theta[-1]))
-
     def write_csv(self, fh, stride: int = 1) -> None:
         """Write ``t,x,y,theta,phi1,phi2,V1,e_inst`` rows, optionally decimated."""
         if stride < 1:

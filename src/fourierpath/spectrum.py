@@ -1,4 +1,4 @@
-"""Spectra of planar paths: forward/inverse transform, windowing, tail energy.
+"""Spectra of planar paths: forward transform, windowing, tail energy.
 
 Conventions (they differ from most FFT libraries, so read this once):
 
@@ -25,9 +25,7 @@ from .pathdata import PathSamples
 
 __all__ = [
     "Spectrum",
-    "WindowedSpectrum",
     "dft",
-    "idft",
     "apply_window",
     "checked_widths",
     "tail_energy",
@@ -98,18 +96,6 @@ class Spectrum:
         return float(np.sum(np.abs(self.a) ** 2))
 
 
-@dataclass(frozen=True, eq=False)
-class WindowedSpectrum(Spectrum):
-    """A spectrum restricted to the symmetric window of width ``m``."""
-
-    m: int
-
-    def __post_init__(self):
-        super().__post_init__()
-        checked_widths(self.m, self.n_samples)
-        object.__setattr__(self, "m", int(self.m))
-
-
 def dft(samples: PathSamples) -> Spectrum:
     """Forward transform of a path, coefficients on the signed index set."""
     n = samples.n_samples
@@ -121,29 +107,14 @@ def dft(samples: PathSamples) -> Spectrum:
     return Spectrum(k=signed[order], a=coeffs[order], n_samples=n)
 
 
-def idft(spec: Spectrum) -> PathSamples:
-    """Synthesize the N samples ``c[n] = sum_k a_k exp(2j*pi*k*n/N)``.
-
-    Missing indices count as zero, so a windowed spectrum yields its
-    truncated reconstruction sampled at the original N parameters.
-    """
-    n = spec.n_samples
-    bins = np.zeros(n, dtype=np.complex128)
-    bins[np.mod(spec.k, n)] = spec.a
-    c = np.conj(fft(np.conj(bins)))
-    return PathSamples(np.column_stack((c.real, c.imag)))
-
-
-def apply_window(spec: Spectrum, m: int) -> WindowedSpectrum:
+def apply_window(spec: Spectrum, m: int) -> Spectrum:
     """Keep exactly the coefficients inside the width-m window, drop the rest.
 
     The kept coefficients are passed through unchanged, so re-applying the
     same window is the identity.
     """
     mask = 2 * np.abs(spec.k) <= checked_widths(m, spec.n_samples)
-    return WindowedSpectrum(
-        k=spec.k[mask], a=spec.a[mask], n_samples=spec.n_samples, m=int(m)
-    )
+    return Spectrum(k=spec.k[mask], a=spec.a[mask], n_samples=spec.n_samples)
 
 
 def tail_energy(spec: Spectrum, m: int | np.ndarray) -> float | np.ndarray:

@@ -1,9 +1,11 @@
-"""Truncated trigonometric curves with exact parameter derivatives.
+"""Truncated trigonometric curves and their exact parameter derivative.
 
 A curve is a finite sum of rotating terms:
-``x(th) = sum amp*cos(k*th + phase)``, ``y(th) = sum amp*sin(k*th + phase)``.
-Evaluation wraps th mod 2*pi, so the curve is 2*pi-periodic and stays
-accurate for large unwrapped parameters.
+``x(th) = sum amp*cos(k*th + phase)``, ``y(th) = sum amp*sin(k*th + phase)``,
+so the curve built from a full N-point spectrum passes through the data
+samples at ``th = 2*pi*n/N``.  The point and its derivative come from one
+shared trig evaluation.  Evaluation wraps th mod 2*pi, so the curve is
+2*pi-periodic and stays accurate for large unwrapped parameters.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import Spectrum, WindowedSpectrum
+from .spectrum import Spectrum
 
 __all__ = ["TrigPath", "make_trig_path", "write_reconstruction_csv"]
 
@@ -24,18 +26,14 @@ _BLOCK_ELEMENTS = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class TrigPath:
-    """Immutable term list (k, amplitude, phase) plus provenance counts.
+    """Immutable term list (k, amplitude, phase).
 
-    ``source_n`` is the sample count of the originating dataset and
-    ``source_m`` the window width, or None for the full spectrum.
     Amplitudes are >= 0 and phases lie in (-pi, pi].
     """
 
     k: np.ndarray
     amp: np.ndarray
     phase: np.ndarray
-    source_n: int
-    source_m: int | None = None
 
     def __post_init__(self):
         k = np.asarray(self.k, dtype=np.int64)
@@ -66,19 +64,12 @@ class TrigPath:
         """Curve point(s) at theta; scalars in, floats out, arrays in, arrays out."""
         return self._evaluate(theta, self._point)
 
-    def eval_deriv(self, theta):
-        """d/dtheta of the curve at theta."""
-        return self._evaluate(theta, self._deriv)
-
     def eval_with_deriv(self, theta):
         """(x, y, dx/dtheta, dy/dtheta) sharing one trig evaluation."""
         return self._evaluate(theta, self._point_and_deriv)
 
     def _point(self, c, s):
         return c @ self.amp, s @ self.amp
-
-    def _deriv(self, c, s):
-        return -(s @ self._kamp), c @ self._kamp
 
     def _point_and_deriv(self, c, s):
         return c @ self.amp, s @ self.amp, -(s @ self._kamp), c @ self._kamp
@@ -118,14 +109,7 @@ def make_trig_path(spec: Spectrum) -> TrigPath:
     # part; fold that onto +pi to keep phases in (-pi, pi].
     phase = np.where(phase <= -np.pi, phase + TWO_PI, phase)
     keep = amp > 0.0
-    m = spec.m if isinstance(spec, WindowedSpectrum) else None
-    return TrigPath(
-        k=spec.k[keep],
-        amp=amp[keep],
-        phase=phase[keep],
-        source_n=spec.n_samples,
-        source_m=m,
-    )
+    return TrigPath(k=spec.k[keep], amp=amp[keep], phase=phase[keep])
 
 
 def write_reconstruction_csv(path: TrigPath, fh, samples: int = 1024) -> None:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fourierpath import PathSamples, Spectrum, dft, make_trig_path, synth_path
-from fourierpath.spectrum import idft
 
 
 def random_path(n, seed, scale=1.0):
@@ -35,7 +34,12 @@ def decaying_spectrum(n, seed, base=0.6, scale=1.0):
 
 
 def decaying_path(n, seed, base=0.6, scale=1.0):
-    return idft(decaying_spectrum(n, seed, base, scale))
+    """The N samples ``c[n] = sum_k a_k exp(2j*pi*k*n/N)`` of a decaying spectrum."""
+    spec = decaying_spectrum(n, seed, base, scale)
+    bins = np.zeros(n, dtype=np.complex128)
+    bins[np.mod(spec.k, n)] = spec.a
+    c = np.fft.ifft(bins, norm="forward")
+    return PathSamples(np.column_stack((c.real, c.imag)))
 
 
 @pytest.fixture

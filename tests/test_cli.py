@@ -147,6 +147,21 @@ class TestSimulate:
         ["simulate", "--synth", "circle,64", "--dt", "abc"],
         ["certify", "--synth", "circle,64", "--method", "rk5"],
         [],
+        # the data source, and settings checked by the objects built from them
+        ["transform", "--synth", "triangle,8"],
+        ["transform", "--synth", "circle"],
+        ["transform", "--input", "/nonexistent/path.csv"],
+        ["certify", "--synth", "circle,64", "--runs", "0"],
+        ["certify", "--synth", "circle,64", "--dt", "0"],
+        ["certify", "--synth", "circle,64", "--k1", "0"],
+        ["certify", "--synth", "circle,64", "--sigma1", "-1"],
+        ["simulate", "--synth", "circle,64", "--seed", "-1", "--sigma1", "0.1"],
+        ["simulate", "--synth", "circle,64", "--x0", "nan"],
+        ["simulate", "--synth", "circle,64", "--duration", "1e9", "--dt", "1e-3"],
+        # window widths past the sample count N
+        ["reconstruct", "--synth", "circle,64", "--m-list", "10,500"],
+        ["simulate", "--synth", "circle,64", "--window-m", "500"],
+        ["sweep", "--synth", "circle,64", "--window-max", "500"],
     ])
     def test_bad_output_option_fails_before_any_output(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -154,6 +169,12 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_unrecognized_flag_names_the_command(self, tmp_path, capsys):
+        assert run(["transform", "--synth", "circle,8", "--window-m", "3",
+                    "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == (
+            "error: fourierpath transform: unrecognized arguments: --window-m 3\n")
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,14 +5,13 @@ from fourierpath import (
     FieldState,
     GvfParams,
     apply_window,
-    chi,
     dft,
     lyapunov_rate,
     make_trig_path,
-    phi,
     synth_path,
     verify_nonsingular,
 )
+from fourierpath.gvf import _field_terms
 
 from conftest import decaying_spectrum, sparse_spectrum
 
@@ -29,43 +28,52 @@ def _paths():
     ]
 
 
+def _offsets(path, x, y, theta):
+    return _field_terms(path, x, y, theta, UNIT)[:2]
+
+
+def _field(path, x, y, theta, params=UNIT):
+    return np.array(_field_terms(path, x, y, theta, params)[4:])
+
+
+def _v1(path, x, y, theta, params):
+    phi1, phi2 = _offsets(path, x, y, theta)
+    return params.k1 * phi1 * phi1 + params.k2 * phi2 * phi2
+
+
 class TestPhi:
     def test_on_path_offsets_vanish(self, unit_epicycle):
-        assert phi(unit_epicycle, FieldState(1.0, 0.0, 0.0)) == pytest.approx((0.0, 0.0), abs=1e-15)
+        assert _offsets(unit_epicycle, 1.0, 0.0, 0.0) == pytest.approx((0.0, 0.0), abs=1e-15)
 
     def test_radial_offset(self, unit_epicycle):
-        assert phi(unit_epicycle, FieldState(2.0, 0.0, 0.0)) == pytest.approx((1.0, 0.0), abs=1e-15)
+        assert _offsets(unit_epicycle, 2.0, 0.0, 0.0) == pytest.approx((1.0, 0.0), abs=1e-15)
 
     def test_offsets_vanish_on_any_reconstruction_point(self):
         for path in _paths():
             for th in (0.0, 1.3, 4.0):
                 px, py = path.eval(th)
-                p1, p2 = phi(path, FieldState(px, py, th))
+                p1, p2 = _offsets(path, px, py, th)
                 assert abs(p1) < 1e-9 and abs(p2) < 1e-9
 
 
 class TestChi:
     def test_hand_worked_field_value(self, unit_epicycle):
-        sample = chi(unit_epicycle, FieldState(2.0, 0.0, 0.0), UNIT)
-        assert sample.chi == pytest.approx([-1.0, 1.0, 1.0], abs=1e-12)
-        assert (sample.phi1, sample.phi2) == pytest.approx((1.0, 0.0), abs=1e-12)
-        assert sample.lyapunov_v1 == pytest.approx(1.0, abs=1e-12)
+        assert _field(unit_epicycle, 2.0, 0.0, 0.0) == pytest.approx([-1.0, 1.0, 1.0], abs=1e-12)
+        assert _v1(unit_epicycle, 2.0, 0.0, 0.0, UNIT) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_path_gives_pure_parameter_motion(self):
         path = make_trig_path(sparse_spectrum(8, {0: 0j}))
         for th in (0.0, 2.0, 11.0):
-            sample = chi(path, FieldState(0.0, 0.0, th), UNIT)
-            assert sample.chi == pytest.approx([0.0, 0.0, 1.0])
+            assert _field(path, 0.0, 0.0, th) == pytest.approx([0.0, 0.0, 1.0])
 
     def test_on_path_field_is_tangent(self):
         for path in _paths():
             for th in (0.2, 2.9, 5.5):
-                px, py = path.eval(th)
-                dx, dy = path.eval_deriv(th)
-                sample = chi(path, FieldState(px, py, th), GvfParams(2.0, 0.5))
-                assert sample.chi[0] == pytest.approx(dx, abs=1e-9)
-                assert sample.chi[1] == pytest.approx(dy, abs=1e-9)
-                assert sample.chi[2] == 1.0
+                px, py, dx, dy = path.eval_with_deriv(th)
+                field = _field(path, px, py, th, GvfParams(2.0, 0.5))
+                assert field[0] == pytest.approx(dx, abs=1e-9)
+                assert field[1] == pytest.approx(dy, abs=1e-9)
+                assert field[2] == 1.0
 
     def test_gradient_terms_match_finite_differences(self):
         # the parameter derivatives used inside the field must agree with
@@ -76,13 +84,13 @@ class TestChi:
         for _ in range(100):
             x, y = rng.uniform(-3, 3, 2)
             th = rng.uniform(0, TWO_PI)
-            p1p, p2p = phi(path, FieldState(x, y, th + h))
-            p1m, p2m = phi(path, FieldState(x, y, th - h))
+            p1p, p2p = _offsets(path, x, y, th + h)
+            p1m, p2m = _offsets(path, x, y, th - h)
             fd1 = (p1p - p1m) / (2 * h)
             fd2 = (p2p - p2m) / (2 * h)
-            dx, dy = path.eval_deriv(th)
-            assert fd1 == pytest.approx(-dx, abs=1e-5)
-            assert fd2 == pytest.approx(-dy, abs=1e-5)
+            _, _, dphi1, dphi2, _, _, _ = _field_terms(path, x, y, th, UNIT)
+            assert fd1 == pytest.approx(dphi1, abs=1e-5)
+            assert fd2 == pytest.approx(dphi2, abs=1e-5)
 
 
 class TestLyapunovRate:
@@ -104,8 +112,8 @@ class TestLyapunovRate:
                 rate = lyapunov_rate(path, state, params)
                 assert rate <= 1e-12
                 # closed form: -2[(k1 p1)^2 + (k2 p2)^2 + (k1 p1 dp1 + k2 p2 dp2)^2]
-                p1, p2 = phi(path, state)
-                dx, dy = path.eval_deriv(state.theta)
+                p1, p2 = _offsets(path, state.x, state.y, state.theta)
+                dx, dy = path.eval_with_deriv(state.theta)[2:]
                 a = params.k1 * p1
                 b = params.k2 * p2
                 cross = a * (-dx) + b * (-dy)
@@ -116,15 +124,12 @@ class TestLyapunovRate:
         rng = np.random.default_rng(8)
         eps = 1e-7
         for _ in range(20):
-            state = FieldState(*rng.uniform(-2, 2, 2), rng.uniform(0, TWO_PI))
-            sample = chi(unit_epicycle, state, UNIT)
-            step = eps * sample.chi
-            fwd = chi(unit_epicycle, FieldState(state.x + step[0], state.y + step[1],
-                                                state.theta + step[2]), UNIT)
-            bwd = chi(unit_epicycle, FieldState(state.x - step[0], state.y - step[1],
-                                                state.theta - step[2]), UNIT)
-            fd = (fwd.lyapunov_v1 - bwd.lyapunov_v1) / (2 * eps)
-            rate = lyapunov_rate(unit_epicycle, state, UNIT)
+            state = np.array([*rng.uniform(-2, 2, 2), rng.uniform(0, TWO_PI)])
+            step = eps * _field(unit_epicycle, *state)
+            fwd = _v1(unit_epicycle, *(state + step), UNIT)
+            bwd = _v1(unit_epicycle, *(state - step), UNIT)
+            fd = (fwd - bwd) / (2 * eps)
+            rate = lyapunov_rate(unit_epicycle, FieldState(*state), UNIT)
             assert fd == pytest.approx(rate, rel=1e-4, abs=1e-8)
 
 

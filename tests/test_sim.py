@@ -71,7 +71,7 @@ class TestIntegrate:
         cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=10.0, dt=1e-3)
         traj = integrate(path, params, cfg)
         th = np.linspace(0, 2 * np.pi, 4096)
-        dx, dy = path.eval_deriv(th)
+        dx, dy = path.eval_with_deriv(th)[2:]
         grad_sq_max = float(np.max(dx * dx + dy * dy))
         threshold = 1.0 / (2.0 * max(params.k1, params.k2) * grad_sq_max)
         quiet = traj.v1[:-1] < threshold

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from fourierpath import (
     PathSamples,
     Spectrum,
-    WindowedSpectrum,
     apply_window,
     dft,
-    idft,
     synth_path,
     tail_energy,
 )
@@ -66,22 +64,6 @@ class TestDft:
         assert spec.k.tolist() == [-3, -2, -1, 0, 1, 2, 3, 4]
 
 
-class TestIdft:
-    def test_dc_only_inversion(self):
-        ps = idft(sparse_spectrum(5, {0: 1.0 + 0j}))
-        assert np.allclose(ps.points, np.tile([1.0, 0.0], (5, 1)), atol=1e-15)
-
-    def test_single_harmonic_gives_quarter_turns(self):
-        ps = idft(sparse_spectrum(4, {1: 1.0 + 0j}))
-        assert np.allclose(ps.points, [[1, 0], [0, 1], [-1, 0], [0, -1]], atol=1e-14)
-
-    @pytest.mark.parametrize("n", [16, 757, 758])
-    def test_round_trip(self, n):
-        ps = synth_path("circle", n, [1.0])
-        back = idft(dft(ps))
-        assert np.max(np.abs(back.points - ps.points)) < 1e-9
-
-
 class TestWindow:
     def test_full_width_keeps_everything(self):
         for n in (8, 9):
@@ -100,7 +82,7 @@ class TestWindow:
         w = apply_window(spec, 100)
         assert w.k.size == 101
         assert w.k[0] == -50 and w.k[-1] == 50
-        assert w.m == 100 and w.n_samples == 758
+        assert w.n_samples == 758
 
     def test_window_bounds_by_parity(self):
         spec = dft(random_path(128, seed=3))
