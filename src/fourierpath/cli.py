@@ -53,7 +53,6 @@ class RunConfig:
     theta0: float = _setting(0.0, "initial path parameter")
     duration: float = _setting(20.0, "simulated horizon")
     dt: float = _setting(1e-3, "integration step")
-    method: typing.Literal["rk4", "euler"] = _setting("rk4", "integrator")
     runs: int = _setting(20, "Monte-Carlo runs")
     out_dir: str = _setting("out", "output directory")
     m_list: str | None = _setting(None, "comma list of widths, 'full' allowed")
@@ -73,9 +72,10 @@ def main(argv=None) -> int:
                            + " ".join(unknown))
         cfg = _resolve_config(args)
         _check_options(cfg)
+        widths = _widths(cfg)
         clean = _load_samples(cfg)
-        for _, m in _widths(cfg):
-            spectrum.checked_widths(m, clean.n_samples)
+        for flag, m in widths:
+            _named(flag, spectrum.checked_widths, m, clean.n_samples)
         out = _prepare_out_dir(cfg)
         COMMANDS[cfg.command][2](cfg, clean, out)
     except (CliError, pathdata.PathDataError, sim.IntegrationError,
@@ -163,7 +163,7 @@ def _cmd_sweep(cfg: RunConfig, clean: pathdata.PathSamples, out: Path) -> None:
 
 _COMMON = ("input", "synth", "sigma1", "sigma2", "seed", "out_dir")
 _CLOSED_LOOP = ("window_m", "window_auto", "window_max", "k1", "k2", "x0", "y0",
-                "theta0", "duration", "dt", "method")
+                "theta0", "duration", "dt")
 
 # command -> (help text, the settings its handler reads, handler)
 COMMANDS = {
@@ -211,8 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _flag_kind(hint) -> dict:
     if hint is bool:
         return {"action": "store_true"}
-    if typing.get_origin(hint) is typing.Literal:
-        return {"choices": typing.get_args(hint)}
     # the flag of an optional setting takes the type before `| None`
     return {"type": (typing.get_args(hint) or (hint,))[0]}
 
@@ -251,8 +249,7 @@ def _config_item(source: str, command: str, key: str, value) -> tuple:
     allowed = typing.get_args(_FIELD_TYPES[name]) or (_FIELD_TYPES[name],)
     if float in allowed and type(value) is int:
         return name, float(value)
-    # a Literal hint lists the allowed values, any other hint the allowed types
-    if type(value) in allowed or value in allowed:
+    if type(value) in allowed:
         return name, value
     names = " or ".join("null" if t is type(None) else getattr(t, "__name__", repr(t))
                         for t in allowed)
@@ -265,13 +262,15 @@ def _check_options(cfg: RunConfig) -> None:
         raise CliError("give exactly one of --input or --synth")
     if cfg.window_auto and cfg.window_m is not None:
         raise CliError("give at most one of --window-m or --window-auto")
-    for flag, value, least in (("stride", cfg.stride, 1), ("samples", cfg.samples, 2),
-                               ("runs", cfg.runs, 1),
-                               *((flag, m, 1) for flag, m in _widths(cfg))):
+    for flag, value, least in (("--stride", cfg.stride, 1), ("--samples", cfg.samples, 2),
+                               ("--runs", cfg.runs, 1)):
         if value < least:
             raise CliError(f"{flag} must be >= {least}, got {value}")
     if not (math.isfinite(cfg.conv_tol) and cfg.conv_tol >= 0):
-        raise CliError(f"conv-tol must be finite and >= 0, got {cfg.conv_tol}")
+        raise CliError(f"--conv-tol must be finite and >= 0, got {cfg.conv_tol}")
+    for flag, value in (("--x0", cfg.x0), ("--y0", cfg.y0), ("--theta0", cfg.theta0)):
+        if not math.isfinite(value):
+            raise CliError(f"{flag} must be finite, got {value}")
     # the constructors validate their own fields
     _noise(cfg)
     _params(cfg)
@@ -279,10 +278,10 @@ def _check_options(cfg: RunConfig) -> None:
 
 
 def _widths(cfg: RunConfig) -> list[tuple[str, int]]:
-    """(flag, width) for every window width given, for the checks against 1 and N."""
+    """(flag, width) for every window width given, for the check against 1 and N."""
     listed = _reconstruct_widths(cfg) if cfg.command == "reconstruct" else []
-    given = [("window-m", cfg.window_m), ("window-max", cfg.window_max),
-             *(("m-list width", m) for m in listed)]
+    given = [("--window-m", cfg.window_m), ("--window-max", cfg.window_max),
+             *(("--m-list", m) for m in listed)]
     return [(flag, m) for flag, m in given if m is not None]
 
 
@@ -291,7 +290,7 @@ def _reconstruct_widths(cfg: RunConfig) -> list[int | None]:
     if not cfg.m_list:
         raise CliError("reconstruct needs --m-list, e.g. --m-list 10,20,full")
     tokens = [token.strip() for token in cfg.m_list.split(",")]
-    return [None if token == "full" else _parse_int(token, "m value") for token in tokens]
+    return [None if token == "full" else _parse(token, "--m-list width") for token in tokens]
 
 
 def _prepare_out_dir(cfg: RunConfig) -> Path:
@@ -314,10 +313,9 @@ def _load_samples(cfg: RunConfig) -> pathdata.PathSamples:
     parts = [p.strip() for p in cfg.synth.split(",")]
     if len(parts) < 2:
         raise CliError("--synth needs at least 'kind,n'")
-    kind = parts[0]
-    n = _parse_int(parts[1], "synth sample count")
-    params = [float(p) for p in parts[2:]]
-    return pathdata.synth_path(kind, n, params)
+    n = _parse(parts[1], "--synth sample count")
+    params = [_parse(p, "--synth parameter", float) for p in parts[2:]]
+    return _named("--synth", pathdata.synth_path, parts[0], n, params)
 
 
 def _perturbed(clean: pathdata.PathSamples, cfg: RunConfig) -> pathdata.PathSamples:
@@ -353,7 +351,6 @@ def _sim_config(cfg: RunConfig) -> sim.SimConfig:
         eta0=gvf.FieldState(cfg.x0, cfg.y0, cfg.theta0),
         duration=cfg.duration,
         dt=cfg.dt,
-        method=cfg.method,
     )
 
 
@@ -387,11 +384,19 @@ def _report_lines(report: analysis.ErrorReport):
     yield "passed", str(report.passed).lower()
 
 
-def _parse_int(text: str, what: str) -> int:
+def _parse(text: str, what: str, kind=int):
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
         raise CliError(f"could not parse {what}: {text!r}") from None
+
+
+def _named(flag: str, check, *args):
+    """``check(*args)``, with a ValueError it raises prefixed by ``flag``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise CliError(f"{flag}: {exc}") from None
 
 
 if __name__ == "__main__":

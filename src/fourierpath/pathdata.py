@@ -85,14 +85,14 @@ class NoiseSpec:
 def load_path(source) -> PathSamples:
     """Parse an ordered point list from CSV: one ``x,y`` record per line.
 
-    ``source`` may be a filesystem path, raw bytes, or an open text or
-    binary stream.  A single leading header line is skipped when its first
-    field is not numeric.  Blank lines are ignored.  Malformed records
-    raise :class:`PathDataError` naming the offending line.
+    ``source`` is the path of a UTF-8 file.  A single leading header line is
+    skipped when its first field is not numeric.  Blank lines are ignored.
+    Malformed records raise :class:`PathDataError` naming the offending line.
     """
     rows = []
     may_be_header = True
-    for lineno, raw in enumerate(_read_lines(source), start=1):
+    lines = Path(source).read_text(encoding="utf-8").splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -167,19 +167,6 @@ def add_noise(clean: PathSamples, spec: NoiseSpec) -> PathSamples:
     return PathSamples(
         np.column_stack((clean.x + spec.sigma1 * z1, clean.y + spec.sigma2 * z2))
     )
-
-
-def _read_lines(source):
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            data = fh.read()
-    elif isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-    else:
-        data = source.read()
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
-    return data.splitlines()
 
 
 def _is_number(field: str) -> bool:

@@ -1,9 +1,9 @@
 """Fixed-step integration of the closed loop state' = chi(state).
 
-The classic fourth-order Runge-Kutta scheme is the default; forward Euler
-is kept as a cross-check.  Every step is logged together with the curve
-offsets, the quadratic energy V1 and the squared distance to a reference
-curve, so trajectories can be audited after the fact.
+The step loop takes classic fourth-order Runge-Kutta steps and records the
+state and the curve offsets at every step.  The quadratic energy V1 and
+the squared distance to a reference curve are computed from those rows
+once the loop ends, so trajectories can be audited after the fact.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .trigpath import TrigPath
 
 __all__ = ["IntegrationError", "SimConfig", "Trajectory", "integrate", "convergence_time"]
 
-_METHODS = ("rk4", "euler")
 _DIVERGENCE_LIMIT = 1e12
 
 
@@ -32,12 +31,11 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Initial state, horizon, step size and scheme for one run."""
+    """Initial state, horizon and step size for one run."""
 
     eta0: FieldState
     duration: float
     dt: float
-    method: str = "rk4"
 
     def __post_init__(self):
         if not (math.isfinite(self.duration) and self.duration > 0):
@@ -48,8 +46,6 @@ class SimConfig:
             raise ValueError("dt must not exceed duration")
         if self.duration / self.dt > 1e8:
             raise ValueError("duration/dt exceeds the 1e8 step guard rail")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
 
 
 @dataclass(eq=False)
@@ -97,8 +93,9 @@ def integrate(
 
     ``truth`` is the reference curve for the logged squared error
     e_inst = (x - x_ref(theta))^2 + (y - y_ref(theta))^2, evaluated at the
-    trajectory's own parameter.  When omitted, the followed path itself is
-    the reference, in which case e_inst = phi1^2 + phi2^2.
+    trajectory's own parameter in one batch after the loop.  When omitted,
+    the followed path itself is the reference, in which case
+    e_inst = phi1^2 + phi2^2.
 
     Raises :class:`IntegrationError` with the offending step index when the
     state leaves the finite range, which almost always means dt is too
@@ -106,14 +103,12 @@ def integrate(
     """
     n_steps = max(1, int(round(cfg.duration / cfg.dt)))
     dt = cfg.dt
-    own_reference = truth is None or truth is path
 
     t = dt * np.arange(n_steps + 1)
-    out = {name: np.empty(n_steps + 1) for name in
-           ("x", "y", "theta", "phi1", "phi2", "v1", "e_inst")}
+    # one row (x, y, theta, phi1, phi2) per step
+    rows = np.empty((n_steps + 1, 5))
 
     s = np.array([cfg.eta0.x, cfg.eta0.y, cfg.eta0.theta], dtype=np.float64)
-    k1, k2 = params.k1, params.k2
 
     def rhs(state):
         _, _, _, _, cx, cy, ct = _field_terms(path, state[0], state[1], state[2], params)
@@ -122,28 +117,15 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps + 1):
             phi1, phi2, _, _, cx, cy, ct = _field_terms(path, s[0], s[1], s[2], params)
-            out["x"][i] = s[0]
-            out["y"][i] = s[1]
-            out["theta"][i] = s[2]
-            out["phi1"][i] = phi1
-            out["phi2"][i] = phi2
-            out["v1"][i] = k1 * phi1 * phi1 + k2 * phi2 * phi2
-            if own_reference:
-                out["e_inst"][i] = phi1 * phi1 + phi2 * phi2
-            else:
-                tx, ty = truth.eval(s[2])
-                out["e_inst"][i] = (s[0] - tx) ** 2 + (s[1] - ty) ** 2
+            rows[i] = (s[0], s[1], s[2], phi1, phi2)
             if i == n_steps:
                 break
 
             f1 = np.array((cx, cy, ct))
-            if cfg.method == "rk4":
-                f2 = rhs(s + 0.5 * dt * f1)
-                f3 = rhs(s + 0.5 * dt * f2)
-                f4 = rhs(s + dt * f3)
-                s = s + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-            else:
-                s = s + dt * f1
+            f2 = rhs(s + 0.5 * dt * f1)
+            f3 = rhs(s + 0.5 * dt * f2)
+            f4 = rhs(s + dt * f3)
+            s = s + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
             if not np.all(np.isfinite(s)) or np.max(np.abs(s)) > _DIVERGENCE_LIMIT:
                 raise IntegrationError(
                     i + 1,
@@ -151,7 +133,14 @@ def integrate(
                     "dt is too large for these gains",
                 )
 
-    return Trajectory(t=t, **out)
+    x, y, theta, phi1, phi2 = rows.T
+    v1 = params.k1 * phi1 * phi1 + params.k2 * phi2 * phi2
+    if truth is None:
+        e_inst = phi1 * phi1 + phi2 * phi2
+    else:
+        tx, ty = truth.eval(theta)
+        e_inst = (x - tx) ** 2 + (y - ty) ** 2
+    return Trajectory(t, x, y, theta, phi1, phi2, v1, e_inst)
 
 
 def convergence_time(traj: Trajectory, tol: float) -> float | None:

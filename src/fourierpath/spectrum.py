@@ -44,8 +44,8 @@ def checked_widths(m: int | np.ndarray, n_samples: int) -> np.ndarray:
         raise ValueError(f"window width must be an integer >= 1, got {m!r}")
     if np.any(widths > n_samples):
         raise ValueError(
-            f"window width {int(widths.max())} exceeds the index range of an "
-            f"{n_samples}-sample spectrum"
+            f"window width {int(widths.max())} exceeds the index range of a "
+            f"spectrum of {n_samples} samples"
         )
     return widths
 

@@ -21,7 +21,7 @@ __all__ = ["TrigPath", "make_trig_path", "write_reconstruction_csv"]
 
 TWO_PI = 2.0 * math.pi
 # largest parameter-by-term table built at once when evaluating arrays
-_BLOCK_ELEMENTS = 1 << 16
+_BLOCK_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)

@@ -170,6 +170,18 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("args,flag", [
+        (["simulate", "--synth", "circle,64", "--x0", "nan"], "--x0"),
+        (["simulate", "--synth", "circle,64", "--theta0", "inf"], "--theta0"),
+        (["transform", "--synth", "circle,8,x"], "--synth"),
+        (["transform", "--synth", "triangle,8"], "--synth"),
+        (["simulate", "--synth", "circle,64", "--window-m", "500"], "--window-m"),
+        (["reconstruct", "--synth", "circle,64", "--m-list", "10,500"], "--m-list"),
+    ])
+    def test_error_names_the_flag(self, tmp_path, capsys, args, flag):
+        assert run(args + ["--out-dir", tmp_path / "out"]) == 1
+        assert flag in capsys.readouterr().err
+
     def test_unrecognized_flag_names_the_command(self, tmp_path, capsys):
         assert run(["transform", "--synth", "circle,8", "--window-m", "3",
                     "--out-dir", tmp_path / "out"]) == 1
@@ -288,7 +300,6 @@ class TestConfigFile:
         pytest.param("transform", "seed", 2.5, id="seed-2.5"),
         pytest.param("certify", "window_m", True, id="window_m-True"),
         pytest.param("transform", "input", 5, id="input-5"),
-        pytest.param("certify", "method", "rk5", id="method-rk5"),
     ])
     def test_wrongly_typed_value_rejected(self, tmp_path, capsys, command, key, value):
         cfg = tmp_path / "run.json"

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +17,12 @@ def test_every_exported_name_resolves(name):
     # `from module import *`
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_traced_benchmark_boundaries_resolve(monkeypatch):
+    # constructing the tracer resolves every instrumented package function
+    # and raises BoundaryError for one a refactor removed or renamed
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    assert set(tracer.stats) == set(tracing.BOUNDARIES)

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,18 +6,27 @@ from hypothesis import strategies as st
 from fourierpath import NoiseSpec, PathDataError, PathSamples, add_noise, load_path, synth_path
 
 
+def _csv(tmp_path, text):
+    target = tmp_path / "path.csv"
+    target.write_text(text, encoding="utf-8")
+    return target
+
+
 class TestLoadPath:
-    def test_parses_plain_records(self):
-        ps = load_path(b"0,0\n1,0\n1,1\n")
+    def test_parses_plain_records(self, tmp_path):
+        ps = load_path(_csv(tmp_path, "0,0\n1,0\n1,1\n"))
         assert ps.n_samples == 3
         assert np.array_equal(ps.points, [[0, 0], [1, 0], [1, 1]])
 
-    def test_skips_single_header_line(self):
-        ps = load_path(b"x,y\n0,0\n1,0\n")
+    def test_skips_single_header_line(self, tmp_path):
+        ps = load_path(_csv(tmp_path, "x,y\n0,0\n1,0\n"))
         assert ps.n_samples == 2
 
-    def test_accepts_text_stream_and_crlf(self):
-        ps = load_path(io.StringIO("0,0\r\n1,2\r\n"))
+    def test_accepts_crlf(self, tmp_path):
+        target = tmp_path / "crlf.csv"
+        with open(target, "wb") as fh:
+            fh.write(b"0,0\r\n1,2\r\n")
+        ps = load_path(target)
         assert ps.n_samples == 2
         assert ps.points[1, 1] == 2.0
 
@@ -34,21 +41,21 @@ class TestLoadPath:
         assert again.n_samples == 758
         assert np.array_equal(again.points, pts.points)
 
-    def test_malformed_record_reports_line_number(self):
+    def test_malformed_record_reports_line_number(self, tmp_path):
         with pytest.raises(PathDataError, match="line 2"):
-            load_path(b"0,0\n1,abc\n")
+            load_path(_csv(tmp_path, "0,0\n1,abc\n"))
 
-    def test_wrong_field_count_reports_line_number(self):
+    def test_wrong_field_count_reports_line_number(self, tmp_path):
         with pytest.raises(PathDataError, match="line 3"):
-            load_path(b"0,0\n1,1\n2,3,4\n")
+            load_path(_csv(tmp_path, "0,0\n1,1\n2,3,4\n"))
 
-    def test_non_finite_value_rejected(self):
+    def test_non_finite_value_rejected(self, tmp_path):
         with pytest.raises(PathDataError, match="line 2"):
-            load_path(b"0,0\n1,inf\n")
+            load_path(_csv(tmp_path, "0,0\n1,inf\n"))
 
-    def test_too_few_points_rejected(self):
+    def test_too_few_points_rejected(self, tmp_path):
         with pytest.raises(PathDataError):
-            load_path(b"0,0\n")
+            load_path(_csv(tmp_path, "0,0\n"))
 
 
 class TestSynthPath:

@@ -17,6 +17,7 @@ from fourierpath import (
     make_trig_path,
     synth_path,
 )
+from fourierpath.gvf import _field_terms
 
 from conftest import decaying_spectrum
 
@@ -55,15 +56,29 @@ class TestIntegrate:
 
         assert np.linalg.norm(final(1e-3) - final(5e-4)) < 1e-6
 
-    def test_euler_cross_checks_rk4(self, unit_epicycle):
-        cfg_rk4 = SimConfig(FieldState(2.0, 0.0, 0.0), duration=5.0, dt=1e-3)
-        cfg_euler = SimConfig(FieldState(2.0, 0.0, 0.0), duration=5.0, dt=1e-3, method="euler")
-        a = integrate(unit_epicycle, UNIT, cfg_rk4)
-        b = integrate(unit_epicycle, UNIT, cfg_euler)
-        # first-order scheme, so agreement is loose but real
-        assert abs(a.x[-1] - b.x[-1]) < 1e-2
-        assert abs(a.theta[-1] - b.theta[-1]) < 1e-2
-        assert b.v1[-1] < 1e-4
+    def test_each_row_is_one_rk4_step_from_the_last(self):
+        path = make_trig_path(apply_window(decaying_spectrum(128, seed=1), 24))
+        params = GvfParams(1.0, 2.0)
+        dt = 1e-2
+        traj = integrate(path, params, SimConfig(FieldState(-1.0, 2.0, 0.5), 2.0, dt))
+        state = np.stack((traj.x, traj.y, traj.theta))
+        assert np.array_equal(state[:, 0], [-1.0, 2.0, 0.5])
+        phi1, phi2 = _field_terms(path, *state, params)[:2]
+        assert np.allclose(traj.phi1, phi1, rtol=1e-12, atol=1e-15)
+        assert np.allclose(traj.phi2, phi2, rtol=1e-12, atol=1e-15)
+
+        def rhs(s):
+            return np.array(_field_terms(path, *s, params)[4:])
+
+        # recompute, from every row but the last, one step to the next row
+        s = state[:, :-1]
+        f1 = rhs(s)
+        f2 = rhs(s + 0.5 * dt * f1)
+        f3 = rhs(s + 0.5 * dt * f2)
+        f4 = rhs(s + dt * f3)
+        stepped = s + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        gap = np.linalg.norm(stepped - state[:, 1:], axis=0)
+        assert np.all(gap <= 1e-12 * np.linalg.norm(state[:, 1:], axis=0))
 
     def test_parameter_increases_once_converged(self):
         path = make_trig_path(apply_window(decaying_spectrum(128, seed=1), 24))
@@ -92,10 +107,11 @@ class TestIntegrate:
         followed = make_trig_path(apply_window(dft(noisy), 6))
         cfg = SimConfig(FieldState(1.0, 0.0, 0.0), duration=2.0, dt=1e-3)
         traj = integrate(followed, UNIT, cfg, truth=truth)
-        assert np.all(traj.e_inst >= 0)
-        # reference curve differs from the followed one, so the logged error
-        # is not just the offset magnitude
-        assert not np.allclose(traj.e_inst, traj.phi1**2 + traj.phi2**2)
+        # each row's squared distance to the reference point at its own theta
+        expected = [(x - tx) ** 2 + (y - ty) ** 2
+                    for x, y, (tx, ty) in zip(traj.x, traj.y, map(truth.eval, traj.theta))]
+        # a start on the curve gives e_inst near 0, where only rounding differs
+        assert np.allclose(traj.e_inst, expected, rtol=1e-12, atol=1e-24)
 
     def test_error_defaults_to_followed_path(self, unit_epicycle):
         cfg = SimConfig(FieldState(2.0, 0.0, 0.0), duration=1.0, dt=1e-2)
@@ -139,10 +155,6 @@ class TestSimConfig:
     def test_step_count_guard_rail(self):
         with pytest.raises(ValueError):
             SimConfig(FieldState(0, 0, 0), duration=1e6, dt=1e-3)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            SimConfig(FieldState(0, 0, 0), duration=1.0, dt=0.1, method="rk45")
 
 
 def test_trajectory_csv_round_trip(unit_epicycle):
