@@ -68,11 +68,14 @@ class TrigPath:
         """(x, y, dx/dtheta, dy/dtheta) sharing one trig evaluation."""
         return self._evaluate(theta, self._point_and_deriv)
 
+    # vecdot sums a row the same way whether it stands alone or in a block
+    # of any height, where ``@`` picks a kernel by the block's shape.
     def _point(self, c, s):
-        return c @ self.amp, s @ self.amp
+        return np.vecdot(c, self.amp), np.vecdot(s, self.amp)
 
     def _point_and_deriv(self, c, s):
-        return c @ self.amp, s @ self.amp, -(s @ self._kamp), c @ self._kamp
+        return (np.vecdot(c, self.amp), np.vecdot(s, self.amp),
+                -np.vecdot(s, self._kamp), np.vecdot(c, self._kamp))
 
     def _evaluate(self, theta, sums):
         """``sums`` of the cos and sin tables of the terms at theta.

@@ -1,13 +1,18 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fourierpath
 from fourierpath import cli, pathdata
@@ -162,6 +167,8 @@ class TestSimulate:
         ["reconstruct", "--synth", "circle,64", "--m-list", "10,500"],
         ["simulate", "--synth", "circle,64", "--window-m", "500"],
         ["sweep", "--synth", "circle,64", "--window-max", "500"],
+        # a table no host can hold
+        ["reconstruct", "--synth", "circle,64", "--m-list", "4", "--samples", str(10**30)],
     ])
     def test_bad_output_option_fails_before_any_output(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -342,6 +349,41 @@ def test_memory_error_ends_in_one_error_line(tmp_path, capsys, monkeypatch):
                 "--out-dir", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
     assert err == "error: Unable to allocate 4.47 GiB for an array\n"
+
+
+# tokens tried for every flag, then the valid ones of each setting
+_FUZZ_TOKENS = ("nan", "inf", "-1", "0", "1e309", "", "abc", str(10**30), str(2**64))
+_FUZZ_VALID = {
+    "input": ("data.csv",), "synth": ("circle,16", "lissajous,12,3,2"),
+    "sigma1": ("0.1",), "sigma2": ("0.1",), "seed": ("7", str(2**64 - 1)),
+    "m_list": ("4", "2,full"), "samples": ("2", "16"), "window_max": ("4", "16"),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_spectral_command_exits_cleanly(data):
+    # any flag set ends in exit 0, or exit 1 with one error line and no out dir
+    command = data.draw(st.sampled_from(["transform", "reconstruct", "sweep"]))
+    flags = data.draw(st.lists(st.sampled_from(
+        [name for name in cli.COMMANDS[command][1] if name != "out_dir"]), unique=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "data.csv").write_text("x,y\n0,0\n1,0\n1,1\n0,1\n")
+        args = [command, "--out-dir", str(tmp / "out")]
+        if "input" not in flags and "synth" not in flags:
+            args += ["--synth", "circle,16"]
+        for name in flags:
+            value = data.draw(st.sampled_from(_FUZZ_VALID[name] + _FUZZ_TOKENS))
+            args += ["--" + name.replace("_", "-"),
+                     str(tmp / value) if value == "data.csv" else value]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+        if code != 0:
+            assert code == 1
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert not (tmp / "out").exists()
 
 
 def test_every_config_field_is_a_flag_and_every_flag_a_field():

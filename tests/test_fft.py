@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourierpath.fft import fft
+from fourierpath.fft import _fft_rows, fft
 
 from oracles import naive_dft
 
@@ -28,6 +30,38 @@ def test_matches_naive_large_prime_factor(n):
     got = fft(x)
     want = naive_dft(x)
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [2062, 8198, 65537])
+def test_matches_numpy_at_large_lengths(n):
+    x = _random_signal(n, n)
+    got = fft(x)
+    want = np.fft.fft(x)
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+# direct prime, chirp prime, and mixed radices over both leaf kinds
+@pytest.mark.parametrize("n", [2, 59, 105, 243, 379, 758, 1024, 2062])
+def test_rows_transform_independently(n):
+    x = np.stack([_random_signal(n, 31 * n + row) for row in range(5)])
+    got = _fft_rows(x)
+    for row in range(5):
+        assert got[row].tobytes() == _fft_rows(x[row:row + 1])[0].tobytes()
+
+
+# peak over the input's bytes: the level-at-once transform holds O(n),
+# where holding every pending level would grow as O(n log n)
+@pytest.mark.parametrize("n, ratio", [(1 << 16, 12), (2062, 48)])
+def test_memory_stays_linear(n, ratio):
+    x = _random_signal(n, 3)
+    fft(x)
+    tracemalloc.start()
+    try:
+        fft(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ratio * x.nbytes
 
 
 def test_impulse_transforms_to_ones():

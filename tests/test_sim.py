@@ -107,11 +107,10 @@ class TestIntegrate:
         followed = make_trig_path(apply_window(dft(noisy), 6))
         cfg = SimConfig(FieldState(1.0, 0.0, 0.0), duration=2.0, dt=1e-3)
         traj = integrate(followed, UNIT, cfg, truth=truth)
-        # each row's squared distance to the reference point at its own theta
-        expected = [(x - tx) ** 2 + (y - ty) ** 2
-                    for x, y, (tx, ty) in zip(traj.x, traj.y, map(truth.eval, traj.theta))]
-        # a start on the curve gives e_inst near 0, where only rounding differs
-        assert np.allclose(traj.e_inst, expected, rtol=1e-12, atol=1e-24)
+        # each row's squared distance to the reference point at its own
+        # theta; a batched curve point rounds exactly like a scalar one
+        tx, ty = np.array([truth.eval(th) for th in traj.theta]).T
+        assert np.array_equal(traj.e_inst, (traj.x - tx) ** 2 + (traj.y - ty) ** 2)
 
     def test_error_defaults_to_followed_path(self, unit_epicycle):
         cfg = SimConfig(FieldState(2.0, 0.0, 0.0), duration=1.0, dt=1e-2)

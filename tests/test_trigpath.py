@@ -69,6 +69,23 @@ def test_array_evaluation_in_blocks(monkeypatch):
     assert path.eval(np.empty(0))[0].shape == (0,)
 
 
+@pytest.mark.parametrize("n_terms", [1, 101, 758, 2062, 5000])
+def test_array_point_equals_scalar_point(n_terms):
+    # two full blocks and a one-row last block: a point must not depend on
+    # the height of the block its parameter lands in
+    rng = np.random.default_rng(n_terms)
+    path = TrigPath(k=np.arange(n_terms) - n_terms // 2,
+                    amp=rng.uniform(0.0, 1.0, n_terms),
+                    phase=rng.uniform(-3.0, 3.0, n_terms))
+    rows = max(1, trigpath._BLOCK_ELEMENTS // n_terms)
+    th = rng.uniform(-10.0, 10.0, 2 * rows + 1)
+    for batched, scalar in ((path.eval(th), path.eval),
+                            (path.eval_with_deriv(th), path.eval_with_deriv)):
+        got = np.stack(batched, axis=1)
+        want = np.array([scalar(t) for t in th])
+        assert got.tobytes() == want.tobytes()
+
+
 def test_derivative_matches_central_difference():
     path = make_trig_path(apply_window(decaying_spectrum(128, seed=3), 24))
     rng = np.random.default_rng(10)
