@@ -266,10 +266,11 @@ def _check_options(cfg: RunConfig) -> None:
                                ("--runs", cfg.runs, 1)):
         if value < least:
             raise CliError(f"{flag} must be >= {least}, got {value}")
-    # like the step count's guard rail: a larger table cannot be allocated,
-    # and that would only show after the out dir is made
-    if cfg.samples > 1e8:
-        raise CliError(f"--samples exceeds the 1e8 row guard rail, got {cfg.samples}")
+    # like the step count's guard rail: a larger table or seed list cannot
+    # be allocated, and that would only show after the out dir is made
+    for flag, value in (("--samples", cfg.samples), ("--runs", cfg.runs)):
+        if value > 1e8:
+            raise CliError(f"{flag} exceeds the 1e8 guard rail, got {value}")
     if not (math.isfinite(cfg.conv_tol) and cfg.conv_tol >= 0):
         raise CliError(f"--conv-tol must be finite and >= 0, got {cfg.conv_tol}")
     for flag, value in (("--x0", cfg.x0), ("--y0", cfg.y0), ("--theta0", cfg.theta0)):

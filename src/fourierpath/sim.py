@@ -4,6 +4,11 @@ The step loop takes classic fourth-order Runge-Kutta steps and records the
 state and the curve offsets at every step.  The quadratic energy V1 and
 the squared distance to a reference curve are computed from those rows
 once the loop ends, so trajectories can be audited after the fact.
+
+The same loop integrates a stack of R curves (see ``TrigPath``) at once:
+the state is then (3, R) instead of (3,), every recorded array gains a
+trailing run axis, and column r is byte for byte the trajectory that
+following curve r alone gives.
 """
 
 from __future__ import annotations
@@ -24,9 +29,11 @@ _DIVERGENCE_LIMIT = 1e12
 class IntegrationError(RuntimeError):
     """Raised when the integrated state stops being finite (dt too large)."""
 
-    def __init__(self, step: int, message: str):
+    def __init__(self, step: int, message: str, curve: int | None = None):
         super().__init__(message)
         self.step = step
+        # for a stack of curves, the one whose state diverged
+        self.curve = curve
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,11 @@ class SimConfig:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Uniform-grid time series of the integrated state and its diagnostics."""
+    """Uniform-grid time series of the integrated state and its diagnostics.
+
+    ``t`` has one entry per row.  The other arrays have shape (rows,) for
+    one curve and (rows, R) for a stack of R curves.
+    """
 
     t: np.ndarray
     x: np.ndarray
@@ -91,6 +102,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate the guiding field from cfg.eta0 over cfg.duration.
 
+    ``path`` is one curve, or a stack of R curves that all start from
+    cfg.eta0 and are stepped together; the run axis then trails every
+    array of the trajectory but ``t``.
+
     ``truth`` is the reference curve for the logged squared error
     e_inst = (x - x_ref(theta))^2 + (y - y_ref(theta))^2, evaluated at the
     trajectory's own parameter in one batch after the loop.  When omitted,
@@ -99,16 +114,20 @@ def integrate(
 
     Raises :class:`IntegrationError` with the offending step index when the
     state leaves the finite range, which almost always means dt is too
-    large for the gains at hand.
+    large for the gains at hand.  For a stack it also names the curve:
+    the one that diverges first, ties going to the lowest index.
     """
-    n_steps = max(1, int(round(cfg.duration / cfg.dt)))
+    n_steps = _n_steps(cfg)
     dt = cfg.dt
 
     t = dt * np.arange(n_steps + 1)
+    # () for one curve, (R,) for a stack of R
+    runs = path.amp.shape[:-1]
     # one row (x, y, theta, phi1, phi2) per step
-    rows = np.empty((n_steps + 1, 5))
+    rows = np.empty((n_steps + 1, 5, *runs))
 
-    s = np.array([cfg.eta0.x, cfg.eta0.y, cfg.eta0.theta], dtype=np.float64)
+    s = np.empty((3, *runs))
+    s[0], s[1], s[2] = cfg.eta0.x, cfg.eta0.y, cfg.eta0.theta
 
     def rhs(state):
         _, _, _, _, cx, cy, ct = _field_terms(path, state[0], state[1], state[2], params)
@@ -126,21 +145,34 @@ def integrate(
             f3 = rhs(s + 0.5 * dt * f2)
             f4 = rhs(s + dt * f3)
             s = s + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-            if not np.all(np.isfinite(s)) or np.max(np.abs(s)) > _DIVERGENCE_LIMIT:
+            # false for NaN too
+            bounded = np.abs(s) <= _DIVERGENCE_LIMIT
+            if not np.all(bounded):
                 raise IntegrationError(
                     i + 1,
                     f"state diverged at step {i + 1} (t = {t[min(i + 1, n_steps)]:g}); "
                     "dt is too large for these gains",
+                    int(np.argmin(np.all(bounded, axis=0))) if runs else None,
                 )
 
-    x, y, theta, phi1, phi2 = rows.T
+    x, y, theta, phi1, phi2 = np.moveaxis(rows, 1, 0)
     v1 = params.k1 * phi1 * phi1 + params.k2 * phi2 * phi2
     if truth is None:
         e_inst = phi1 * phi1 + phi2 * phi2
     else:
-        tx, ty = truth.eval(theta)
-        e_inst = (x - tx) ** 2 + (y - ty) ** 2
+        e_inst = _squared_error(truth, x, y, theta)
     return Trajectory(t, x, y, theta, phi1, phi2, v1, e_inst)
+
+
+def _n_steps(cfg: SimConfig) -> int:
+    """RK4 steps :func:`integrate` takes; it records one more row."""
+    return max(1, int(round(cfg.duration / cfg.dt)))
+
+
+def _squared_error(truth: TrigPath, x, y, theta):
+    """Squared distance from (x, y) to the point of ``truth`` at theta."""
+    tx, ty = truth.eval(theta)
+    return (x - tx) ** 2 + (y - ty) ** 2
 
 
 def convergence_time(traj: Trajectory, tol: float) -> float | None:

@@ -6,6 +6,12 @@ so the curve built from a full N-point spectrum passes through the data
 samples at ``th = 2*pi*n/N``.  The point and its derivative come from one
 shared trig evaluation.  Evaluation wraps th mod 2*pi, so the curve is
 2*pi-periodic and stays accurate for large unwrapped parameters.
+
+A ``TrigPath`` may also hold a stack of R curves over one shared ``k``:
+``amp`` and ``phase`` are then (R, K) arrays, and evaluating it at R
+parameters pairs parameter r with curve r.  Each curve of a stack rounds
+exactly like the same curve held alone, as long as both have the same
+terms.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ _BLOCK_ELEMENTS = 1 << 13
 class TrigPath:
     """Immutable term list (k, amplitude, phase).
 
-    Amplitudes are >= 0 and phases lie in (-pi, pi].
+    Amplitudes are >= 0 and phases lie in (-pi, pi].  ``amp`` and
+    ``phase`` are (K,) for one curve, or (R, K) for a stack of R curves.
     """
 
     k: np.ndarray
@@ -39,8 +46,10 @@ class TrigPath:
         k = np.asarray(self.k, dtype=np.int64)
         amp = np.asarray(self.amp, dtype=np.float64)
         phase = np.asarray(self.phase, dtype=np.float64)
-        if not (k.shape == amp.shape == phase.shape) or k.ndim != 1:
-            raise ValueError("k, amp and phase must be 1-D arrays of equal length")
+        if (k.ndim != 1 or amp.ndim not in (1, 2) or amp.shape != phase.shape
+                or amp.shape[-1] != k.size):
+            raise ValueError("k must be 1-D, and amp and phase (K,) or (R, K) arrays "
+                             "over its K terms")
         if not np.all(np.isfinite(amp)) or not np.all(np.isfinite(phase)):
             raise ValueError("amplitudes and phases must be finite")
         if np.any(amp < 0):
@@ -82,9 +91,17 @@ class TrigPath:
 
         Array parameters are taken in blocks of rows whose tables hold at
         most ``_BLOCK_ELEMENTS`` entries, so memory stays proportional to
-        the output however many terms and parameters there are.
+        the output however many terms and parameters there are.  A stack
+        of R curves takes R parameters, one per curve, in one table the
+        size of its coefficients.
         """
         th = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI)
+        if self.amp.ndim == 2:
+            if th.shape != self.amp.shape[:1]:
+                raise ValueError(f"a stack of {self.amp.shape[0]} curves takes "
+                                 f"one parameter per curve, got shape {th.shape}")
+            w = self._rotations(th)
+            return sums(w.real, w.imag)
         if th.ndim == 0:
             w = self._rotations(th)
             return tuple(map(float, sums(w.real, w.imag)))

@@ -4,13 +4,16 @@ import pytest
 from fourierpath import (
     FieldState,
     GvfParams,
+    IntegrationError,
     NoiseSpec,
     SimConfig,
     add_noise,
     apply_window,
     certify,
+    analysis,
     dft,
     f_backward,
+    integrate,
     make_trig_path,
     p_bar,
     reconstruction_mse,
@@ -287,6 +290,67 @@ class TestCertify:
             runs=2,
         )
         assert report2.f_backward is not None
+
+    # lissajous-64 runs windowed to m = 16, all sharing one set of terms
+    LISSAJOUS = synth_path("lissajous", 64, [3, 2])
+
+    def lone_runs(self, noise, runs, params, cfg):
+        """(followed curve, trajectory or IntegrationError) of each run alone."""
+        truth = make_trig_path(dft(self.LISSAJOUS))
+        seeds = np.random.SeedSequence(noise.seed).generate_state(runs, dtype=np.uint64)
+        for seed in seeds:
+            noisy = add_noise(self.LISSAJOUS, NoiseSpec(noise.sigma1, noise.sigma2, int(seed)))
+            followed = make_trig_path(apply_window(dft(noisy), 16))
+            try:
+                yield followed, integrate(followed, params, cfg, truth=truth)
+            except IntegrationError as exc:
+                yield followed, exc
+
+    def test_each_run_matches_a_lone_integration(self):
+        noise = NoiseSpec(0.1, 0.15, 99)
+        cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=2.0, dt=2e-3)
+        report = certify(self.LISSAJOUS, noise, 16, UNIT, cfg, runs=3)
+        truth = make_trig_path(dft(self.LISSAJOUS))
+        lone = list(self.lone_runs(noise, 3, UNIT, cfg))
+        tail = lone[0][1].t >= 0.9 * cfg.duration - 1e-12
+        assert report.e_ms_per_run == tuple(float(np.mean(traj.e_inst[tail]))
+                                            for _, traj in lone)
+        assert report.p_integral == float(np.mean(
+            [reconstruction_mse(truth, followed) for followed, _ in lone]))
+
+    def test_batches_of_runs_give_the_same_report(self, monkeypatch):
+        kwargs = dict(noise=NoiseSpec(0.1, 0.15, 5), m=16, params=UNIT,
+                      cfg=SimConfig(FieldState(-1.0, 2.0, 0.0), duration=1.0, dt=1e-2),
+                      runs=5)
+        whole = certify(self.LISSAJOUS, **kwargs)
+        # 101 rows a run: a budget of 250 rows makes batches of 2, 2 and 1 runs
+        monkeypatch.setattr(analysis, "_ROW_BUDGET", 250)
+        batches = []
+
+        def spy(path, *args, **kw):
+            batches.append(path.amp.shape[:-1])
+            return integrate(path, *args, **kw)
+
+        monkeypatch.setattr(analysis, "integrate", spy)
+        assert certify(self.LISSAJOUS, **kwargs) == whole
+        assert batches == [(2,), (2,), ()]
+
+    @pytest.mark.parametrize("budget", [1 << 18, 250])
+    def test_divergence_names_the_run_that_diverges_first(self, monkeypatch, budget):
+        # one batch of 5 runs, or batches of 2, 2 and 1; the first batch
+        # with a divergence names its first run to diverge
+        monkeypatch.setattr(analysis, "_ROW_BUDGET", budget)
+        noise = NoiseSpec(0.3, 0.3, 7)
+        params = GvfParams(8.0, 8.0)
+        cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=40.0, dt=0.4)
+        steps = [outcome.step for _, outcome in self.lone_runs(noise, 5, params, cfg)]
+        batch = budget // 101
+        step, run = next(min((s, first + i) for i, s in enumerate(steps[first:first + batch]))
+                         for first in range(0, 5, batch))
+        with pytest.raises(IntegrationError) as err:
+            certify(self.LISSAJOUS, noise, 16, params, cfg, runs=5)
+        assert str(err.value).startswith(f"run {run}: state diverged at step {step} ")
+        assert (err.value.step, err.value.curve) == (step, run)
 
     def test_zero_runs_rejected(self):
         clean = synth_path("circle", 32, [1.0])

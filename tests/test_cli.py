@@ -169,6 +169,8 @@ class TestSimulate:
         ["sweep", "--synth", "circle,64", "--window-max", "500"],
         # a table no host can hold
         ["reconstruct", "--synth", "circle,64", "--m-list", "4", "--samples", str(10**30)],
+        ["certify", "--synth", "circle,16", "--runs", str(10**30), "--duration", "0.01",
+         "--dt", "0.001"],
     ])
     def test_bad_output_option_fails_before_any_output(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -184,6 +186,7 @@ class TestSimulate:
         (["transform", "--synth", "triangle,8"], "--synth"),
         (["simulate", "--synth", "circle,64", "--window-m", "500"], "--window-m"),
         (["reconstruct", "--synth", "circle,64", "--m-list", "10,500"], "--m-list"),
+        (["certify", "--synth", "circle,16", "--runs", str(10**30)], "--runs"),
     ])
     def test_error_names_the_flag(self, tmp_path, capsys, args, flag):
         assert run(args + ["--out-dir", tmp_path / "out"]) == 1
@@ -257,6 +260,16 @@ class TestCertifyAndSweep:
         report = json.loads((out / "report.json").read_text())
         assert report["delta"] == 0.0
         assert report["passed"] is True
+
+    def test_diverging_run_fails_with_one_error_line(self, tmp_path, capsys):
+        code = run(["certify", "--synth", "lissajous,64,3,2", "--sigma1", "0.3",
+                    "--sigma2", "0.3", "--seed", "7", "--window-m", "16", "--k1", "8",
+                    "--k2", "8", "--x0", "-1", "--y0", "2", "--duration", "40",
+                    "--dt", "0.4", "--runs", "5", "--out-dir", tmp_path / "out"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run 1: state diverged at step 41 ")
+        assert err.count("\n") == 1
 
     def test_window_auto_resolves(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -351,20 +364,29 @@ def test_memory_error_ends_in_one_error_line(tmp_path, capsys, monkeypatch):
     assert err == "error: Unable to allocate 4.47 GiB for an array\n"
 
 
-# tokens tried for every flag, then the valid ones of each setting
+# tokens tried for every flag, then the valid ones of each setting; the
+# valid horizons, steps and run counts keep a run under 300 RK4 steps
 _FUZZ_TOKENS = ("nan", "inf", "-1", "0", "1e309", "", "abc", str(10**30), str(2**64))
 _FUZZ_VALID = {
     "input": ("data.csv",), "synth": ("circle,16", "lissajous,12,3,2"),
     "sigma1": ("0.1",), "sigma2": ("0.1",), "seed": ("7", str(2**64 - 1)),
     "m_list": ("4", "2,full"), "samples": ("2", "16"), "window_max": ("4", "16"),
+    "window_m": ("4", "12"), "k1": ("1", "2.5"), "k2": ("1", "2.5"),
+    "x0": ("0", "-1"), "y0": ("0", "2"), "theta0": ("0", "3"),
+    "duration": ("0.1", "1"), "dt": ("0.01", "0.1"), "runs": ("1", "3"),
+    "stride": ("1", "7"), "conv_tol": ("1e-4", "0"),
 }
+# the simulation settings start small, so an undrawn one keeps a run short
+_FUZZ_SIM_START = ("--duration", "0.1", "--dt", "0.01", "--runs", "1")
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_fuzzed_spectral_command_exits_cleanly(data):
-    # any flag set ends in exit 0, or exit 1 with one error line and no out dir
-    command = data.draw(st.sampled_from(["transform", "reconstruct", "sweep"]))
+    # any flag set of any command ends in exit 0, or exit 1 with one error
+    # line and no out dir; only a run that diverges fails after the out dir
+    # is made, since no check can foresee that
+    command = data.draw(st.sampled_from(list(cli.COMMANDS)))
     flags = data.draw(st.lists(st.sampled_from(
         [name for name in cli.COMMANDS[command][1] if name != "out_dir"]), unique=True))
     with tempfile.TemporaryDirectory() as tmp:
@@ -373,17 +395,24 @@ def test_fuzzed_spectral_command_exits_cleanly(data):
         args = [command, "--out-dir", str(tmp / "out")]
         if "input" not in flags and "synth" not in flags:
             args += ["--synth", "circle,16"]
+        if "runs" in cli.COMMANDS[command][1]:
+            args += _FUZZ_SIM_START
+        elif "duration" in cli.COMMANDS[command][1]:
+            args += _FUZZ_SIM_START[:4]
         for name in flags:
+            flag = "--" + name.replace("_", "-")
+            if name == "window_auto":
+                args.append(flag)
+                continue
             value = data.draw(st.sampled_from(_FUZZ_VALID[name] + _FUZZ_TOKENS))
-            args += ["--" + name.replace("_", "-"),
-                     str(tmp / value) if value == "data.csv" else value]
+            args += [flag, str(tmp / value) if value == "data.csv" else value]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(args)
         if code != 0:
             assert code == 1
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-            assert not (tmp / "out").exists()
+            assert "state diverged" in err.getvalue() or not (tmp / "out").exists()
 
 
 def test_every_config_field_is_a_flag_and_every_flag_a_field():

@@ -9,6 +9,7 @@ from fourierpath import (
     IntegrationError,
     NoiseSpec,
     SimConfig,
+    TrigPath,
     add_noise,
     apply_window,
     convergence_time,
@@ -22,6 +23,22 @@ from fourierpath.gvf import _field_terms
 from conftest import decaying_spectrum
 
 UNIT = GvfParams(1.0, 1.0)
+
+
+def noisy_curves(seeds, sigma, m=16):
+    """The clean lissajous-64 curve and one windowed noisy curve per seed."""
+    clean = synth_path("lissajous", 64, [3, 2])
+    curves = [make_trig_path(apply_window(dft(add_noise(clean, NoiseSpec(sigma, sigma, s))), m))
+              for s in seeds]
+    return make_trig_path(dft(clean)), curves
+
+
+def stacked(curves):
+    # a stack shares one k; these noisy curves keep every windowed term
+    for curve in curves:
+        assert np.array_equal(curve.k, curves[0].k)
+    return TrigPath(curves[0].k, np.stack([c.amp for c in curves]),
+                    np.stack([c.phase for c in curves]))
 
 
 class TestIntegrate:
@@ -99,6 +116,34 @@ class TestIntegrate:
         with pytest.raises(IntegrationError, match="dt") as err:
             integrate(path, GvfParams(8.0, 8.0), cfg)
         assert err.value.step >= 1
+        assert err.value.curve is None
+
+    def test_stacked_curves_integrate_like_lone_curves(self):
+        truth, curves = noisy_curves([1, 2, 3], sigma=0.1)
+        params = GvfParams(1.0, 2.0)
+        cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=2.0, dt=1e-3)
+        batch = integrate(stacked(curves), params, cfg, truth=truth)
+        assert batch.x.shape == (2001, 3)
+        for r, curve in enumerate(curves):
+            lone = integrate(curve, params, cfg, truth=truth)
+            assert np.array_equal(batch.t, lone.t)
+            for name in ("x", "y", "theta", "phi1", "phi2", "v1", "e_inst"):
+                assert np.array_equal(getattr(batch, name)[:, r], getattr(lone, name)), name
+
+    def test_stack_names_the_curve_that_diverges_first(self):
+        # alone, these curves diverge at steps 23, 22, 22 and 23: curve 1
+        # is first, tied with curve 2
+        _, curves = noisy_curves([0, 1, 2, 3], sigma=0.3)
+        params = GvfParams(8.0, 8.0)
+        cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=40.0, dt=0.45)
+        first = []
+        for r, curve in enumerate(curves):
+            with pytest.raises(IntegrationError) as err:
+                integrate(curve, params, cfg)
+            first.append((err.value.step, r))
+        with pytest.raises(IntegrationError, match="dt") as err:
+            integrate(stacked(curves), params, cfg)
+        assert (err.value.step, err.value.curve) == min(first)
 
     def test_error_against_reference_curve(self):
         clean = synth_path("circle", 64, [1.0])

@@ -128,6 +128,25 @@ def test_type_validation():
         TrigPath(k=np.array([1, 2]), amp=np.array([1.0]), phase=np.array([0.0]))
 
 
+def test_stack_pairs_parameter_r_with_curve_r():
+    curves = [make_trig_path(apply_window(decaying_spectrum(64, seed=s), 20)) for s in (1, 2, 3)]
+    stack = TrigPath(curves[0].k, np.stack([c.amp for c in curves]),
+                     np.stack([c.phase for c in curves]))
+    th = np.array([0.3, -2.0, 40.0])
+    point, both = stack.eval(th), stack.eval_with_deriv(th)
+    for r, curve in enumerate(curves):
+        assert tuple(v[r] for v in point) == curve.eval(th[r])
+        assert tuple(v[r] for v in both) == curve.eval_with_deriv(th[r])
+    for theta in (0.3, th[:2], np.stack((th, th))):
+        with pytest.raises(ValueError, match="one parameter per curve"):
+            stack.eval(theta)
+    k, amp = curves[0].k, np.ones((2, curves[0].n_terms))
+    for bad in (dict(k=k[1:], amp=amp, phase=amp), dict(k=k, amp=amp, phase=amp[:1]),
+                dict(k=k, amp=amp[None], phase=amp[None])):
+        with pytest.raises(ValueError):
+            TrigPath(**bad)
+
+
 def test_reconstruction_csv_export():
     path = make_trig_path(dft(synth_path("circle", 16, [1.0])))
     buf = io.StringIO()
