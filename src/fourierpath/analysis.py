@@ -201,8 +201,7 @@ def certify(
     :func:`~fourierpath.sim.integrate`), in batches of as many runs as fit
     in ``_ROW_BUDGET`` recorded rows, and at least one.  The reference
     curve is evaluated only on the final-10% rows that are averaged.  Each
-    run's value is the one integrating it alone gives, bit for bit, unless
-    a noisy coefficient of some run in its batch is exactly zero.  When a
+    run's value is the one integrating it alone gives, bit for bit.  When a
     run diverges, :class:`IntegrationError` names it: of the first batch
     with a diverging run, the run that diverges first, ties going to the
     lowest index.
@@ -255,17 +254,9 @@ def certify(
 
 
 def _stack(paths: list[TrigPath]) -> TrigPath:
-    """The curves as one stack over the union of their indices.
-
-    A curve that lacks an index of the union gets amplitude 0 there.
-    """
-    k, slot = np.unique(np.concatenate([path.k for path in paths]), return_inverse=True)
-    run = np.repeat(np.arange(len(paths)), [path.n_terms for path in paths])
-    amp = np.zeros((len(paths), k.size))
-    phase = np.zeros_like(amp)
-    amp[run, slot] = np.concatenate([path.amp for path in paths])
-    phase[run, slot] = np.concatenate([path.phase for path in paths])
-    return TrigPath(k, amp, phase)
+    """The curves, which share one ``k``, as one stack."""
+    return TrigPath(paths[0].k, np.stack([path.amp for path in paths]),
+                    np.stack([path.phase for path in paths]))
 
 
 def _widths_up_to(spec: Spectrum, m_max: int) -> np.ndarray:
@@ -273,6 +264,5 @@ def _widths_up_to(spec: Spectrum, m_max: int) -> np.ndarray:
 
 
 def _check_sigmas(sigma1: float, sigma2: float) -> None:
-    for name, v in (("sigma1", sigma1), ("sigma2", sigma2)):
-        if not (math.isfinite(v) and v >= 0):
-            raise ValueError(f"{name} must be finite and >= 0")
+    # NoiseSpec rejects what no noise term can use, with a ValueError
+    NoiseSpec(sigma1, sigma2)

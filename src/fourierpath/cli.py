@@ -248,7 +248,11 @@ def _config_item(source: str, command: str, key: str, value) -> tuple:
         raise CliError(f"config file {source}: unknown key {key!r} for {command}")
     allowed = typing.get_args(_FIELD_TYPES[name]) or (_FIELD_TYPES[name],)
     if float in allowed and type(value) is int:
-        return name, float(value)
+        try:
+            return name, float(value)
+        except OverflowError:
+            raise CliError(f"config file {source}: {key!r} is too large "
+                           "for a float") from None
     if type(value) in allowed:
         return name, value
     names = " or ".join("null" if t is type(None) else getattr(t, "__name__", repr(t))
@@ -273,9 +277,12 @@ def _check_options(cfg: RunConfig) -> None:
             raise CliError(f"{flag} exceeds the 1e8 guard rail, got {value}")
     if not (math.isfinite(cfg.conv_tol) and cfg.conv_tol >= 0):
         raise CliError(f"--conv-tol must be finite and >= 0, got {cfg.conv_tol}")
+    # the integrator stops once a coordinate leaves this bound, so a start
+    # beyond it cannot take one step, whatever --dt is
     for flag, value in (("--x0", cfg.x0), ("--y0", cfg.y0), ("--theta0", cfg.theta0)):
-        if not math.isfinite(value):
-            raise CliError(f"{flag} must be finite, got {value}")
+        if not abs(value) <= sim._DIVERGENCE_LIMIT:
+            raise CliError(f"{flag} must be finite and at most "
+                           f"{sim._DIVERGENCE_LIMIT:g} in magnitude, got {value}")
     # the constructors validate their own fields
     _noise(cfg)
     _params(cfg)

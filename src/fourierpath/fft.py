@@ -1,12 +1,11 @@
 """Fourier transform engine for sequences of arbitrary length.
 
-Composite lengths are split on their smallest prime factor, level by
-level, small prime lengths use a direct quadratic kernel, and large prime
-lengths are reduced to a power-of-two circular convolution with a chirp
-sequence, so the cost stays near O(n log n) even when n has a large
-prime factor (e.g. n = 758 = 2 * 379).
+A length n = 2**L * q with q odd is halved L times (radix-2 Cooley-Tukey),
+and the odd leaves of length q > 1 are reduced to a power-of-two circular
+convolution with a chirp sequence (Bluestein), so the cost stays near
+O(n log n) for any n, whether q is prime (e.g. n = 758 = 2 * 379) or not.
 
-Each level of the split runs as one numpy pass over all of that level's
+Each halving runs as one numpy pass over all of that level's
 subsequences (rows), not as one Python call per subsequence: the input is
 gathered into leaf order once, every leaf is transformed together, and
 the levels are recombined bottom up.  Only one level is held at a time,
@@ -27,10 +26,6 @@ import numpy as np
 
 __all__ = ["fft"]
 
-# Largest prime length handled by the direct O(n^2) kernel; beyond this
-# the chirp-convolution path is both faster and just as accurate.
-_DIRECT_PRIME_LIMIT = 61
-
 
 def fft(x) -> np.ndarray:
     """Unnormalized forward transform of a 1-D complex sequence."""
@@ -43,44 +38,29 @@ def fft(x) -> np.ndarray:
 def _fft_rows(x: np.ndarray) -> np.ndarray:
     """Transform each row of a ``(rows, n)`` complex array."""
     n = x.shape[1]
-    radices = []
-    q = n
-    while q > 1 and (p := _smallest_prime_factor(q)) != q:
-        radices.append(p)
-        q //= p
-    # Leaf (r1, .., rL, j) is element r1 + p1*r2 + .. + p1*..*pL*j of a row,
-    # the subsequence the recursion would reach by taking x[r::p] per level.
-    order = np.arange(n).reshape((q, *radices[::-1])).T.reshape(-1)
-    out = _transform_leaves(x[:, order].reshape(-1, q))
-    for p in reversed(radices):
-        out = _combine(out.reshape(-1, p, out.shape[1]), p)
+    halvings = (n & -n).bit_length() - 1
+    q = n >> halvings
+    # Leaf (r1, .., rL, j) is element r1 + 2*r2 + .. + 2**L*j of a row, the
+    # subsequence the recursion would reach by taking x[r::2] per halving.
+    order = np.arange(n).reshape((q,) + (2,) * halvings).T.reshape(-1)
+    out = x[:, order].reshape(-1, q)
+    if q > 1:
+        out = _bluestein(out)
+    for _ in range(halvings):
+        out = _combine(out.reshape(-1, 2, out.shape[1]))
     return out
 
 
-def _transform_leaves(leaves: np.ndarray) -> np.ndarray:
-    q = leaves.shape[1]
-    if q == 1:
-        return leaves
-    if q <= _DIRECT_PRIME_LIMIT:
-        # A stacked gemv: it rounds like ``w @ leaf`` for one leaf, where
-        # ``leaves @ w.T`` does not.
-        k = np.arange(q, dtype=np.int64)
-        w = np.exp((-2j * np.pi / q) * ((k[:, None] * k[None, :]) % q))
-        return np.matmul(w, leaves[..., None])[..., 0]
-    return _bluestein(leaves)
-
-
-def _combine(subs: np.ndarray, p: int) -> np.ndarray:
-    # n = p*q: recombine the transforms of the p interleaved subsequences
-    # of each row.  Twiddle exponents are reduced with exact integer
-    # arithmetic so the angles handed to exp stay in [0, 2*pi).
+def _combine(subs: np.ndarray) -> np.ndarray:
+    # n = 2*q: recombine the transforms of the even and odd subsequences
+    # of each row.  Twiddle exponents are exact integers below n, so the
+    # angles handed to exp stay in [0, 2*pi).
     q = subs.shape[2]
-    n = p * q
+    n = 2 * q
     k = np.arange(n, dtype=np.int64)
     idx = k % q
     out = subs[:, 0, idx]
-    for r in range(1, p):
-        out += subs[:, r, idx] * np.exp((-2j * np.pi / n) * ((r * k) % n))
+    out += subs[:, 1, idx] * np.exp((-2j * np.pi / n) * k)
     return out
 
 
@@ -101,7 +81,7 @@ def _bluestein_tables(n: int):
 
 
 def _bluestein(x: np.ndarray) -> np.ndarray:
-    # Prime-length transform of each row as a linear convolution against
+    # Odd-length transform of each row as a linear convolution against
     # the chirp, evaluated at a padded power-of-two length (>= 2n-1, no
     # wrap-around).
     rows, n = x.shape
@@ -110,14 +90,3 @@ def _bluestein(x: np.ndarray) -> np.ndarray:
     buf[:, :n] = x * b
     conv = np.conj(_fft_rows(np.conj(_fft_rows(buf) * kernel_fft))) / pad
     return conv[:, :n] * b
-
-
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n

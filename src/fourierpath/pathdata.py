@@ -78,6 +78,10 @@ class NoiseSpec:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise PathDataError(f"{name} must be finite and >= 0, got {v!r}")
+        # by multiplication, which overflows to inf where ** raises
+        if not math.isfinite(self.sigma1 * self.sigma1 + self.sigma2 * self.sigma2):
+            raise PathDataError(f"sigma1^2 + sigma2^2 must be finite, got sigma1="
+                                f"{self.sigma1!r} and sigma2={self.sigma2!r}")
         if not (0 <= int(self.seed) < 2**64):
             raise PathDataError("seed must fit in an unsigned 64-bit integer")
 

@@ -120,16 +120,15 @@ class TrigPath:
 def make_trig_path(spec: Spectrum) -> TrigPath:
     """Build the evaluable curve from a (possibly windowed) spectrum.
 
-    Terms with exactly zero amplitude are dropped; zero coefficients get
-    phase 0 by convention, so dropping them changes nothing.
+    Every stored coefficient becomes a term, a zero one a zero-amplitude
+    term, so the curves of spectra over one index set share their ``k``.
     """
     amp = np.abs(spec.a)
     phase = np.angle(spec.a)
     # angle() returns -pi for a negative real part with a -0.0 imaginary
     # part; fold that onto +pi to keep phases in (-pi, pi].
     phase = np.where(phase <= -np.pi, phase + TWO_PI, phase)
-    keep = amp > 0.0
-    return TrigPath(k=spec.k[keep], amp=amp[keep], phase=phase[keep])
+    return TrigPath(k=spec.k, amp=amp, phase=phase)
 
 
 def write_reconstruction_csv(path: TrigPath, fh, samples: int = 1024) -> None:

@@ -110,6 +110,15 @@ class TestPBar:
         with pytest.raises(ValueError):
             p_bar(spec, 4, -0.1, 0.0)
 
+    @pytest.mark.parametrize("sigma1,sigma2", [(2e154, 0.0), (1e154, 1e154)])
+    def test_overflowing_noise_power_rejected(self, sigma1, sigma2):
+        # sigma1**2 would raise OverflowError where sigma1*sigma1 gives inf
+        spec = dft(random_path(16, seed=2))
+        with pytest.raises(ValueError, match="finite"):
+            p_bar(spec, 4, sigma1, sigma2)
+        with pytest.raises(ValueError, match="finite"):
+            expected_passband_noise(16, 4, sigma1, sigma2)
+
 
 class TestFBackward:
     def test_requires_width_two(self):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,18 @@ class TestSimulate:
         ["reconstruct", "--synth", "circle,64", "--m-list", "4", "--samples", str(10**30)],
         ["certify", "--synth", "circle,16", "--runs", str(10**30), "--duration", "0.01",
          "--dt", "0.001"],
+        # noise whose power sigma1^2 + sigma2^2 overflows
+        ["sweep", "--synth", "circle,16", "--sigma1", "2e154"],
+        ["certify", "--synth", "circle,16", "--sigma1", "2e154", "--runs", "1",
+         "--duration", "0.01", "--dt", "0.001"],
+        ["simulate", "--synth", "circle,16", "--sigma2", "2e154", "--window-auto",
+         "--duration", "0.01", "--dt", "0.001"],
+        ["transform", "--synth", "circle,16", "--sigma1", "1e200"],
+        # a start no step can integrate
+        ["simulate", "--synth", "circle,16", "--x0", "1e30", "--duration", "0.1", "--dt", "0.01"],
+        ["simulate", "--synth", "circle,16", "--y0", "-1e30", "--duration", "0.1", "--dt", "0.01"],
+        ["certify", "--synth", "circle,16", "--theta0", "1e30", "--runs", "1",
+         "--duration", "0.1", "--dt", "0.01"],
     ])
     def test_bad_output_option_fails_before_any_output(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -366,7 +379,8 @@ def test_memory_error_ends_in_one_error_line(tmp_path, capsys, monkeypatch):
 
 # tokens tried for every flag, then the valid ones of each setting; the
 # valid horizons, steps and run counts keep a run under 300 RK4 steps
-_FUZZ_TOKENS = ("nan", "inf", "-1", "0", "1e309", "", "abc", str(10**30), str(2**64))
+_FUZZ_TOKENS = ("nan", "inf", "-1", "0", "1e309", "", "abc", str(10**30), str(2**64),
+                "1e200")
 _FUZZ_VALID = {
     "input": ("data.csv",), "synth": ("circle,16", "lissajous,12,3,2"),
     "sigma1": ("0.1",), "sigma2": ("0.1",), "seed": ("7", str(2**64 - 1)),
@@ -406,6 +420,62 @@ def test_fuzzed_spectral_command_exits_cleanly(data):
                 continue
             value = data.draw(st.sampled_from(_FUZZ_VALID[name] + _FUZZ_TOKENS))
             args += [flag, str(tmp / value) if value == "data.csv" else value]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+        if code != 0:
+            assert code == 1
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert "state diverged" in err.getvalue() or not (tmp / "out").exists()
+
+
+# JSON values of every type (Python's json reads NaN and Infinity too), for
+# any setting of a config file
+_FUZZ_JSON = (None, True, False, 0, -1, 10**30, 2**64, -(2**63), 10**400, 0.5, 1e-308,
+              1e308, -1e308, float("nan"), float("inf"), "", "abc", "4", [], [1, 2],
+              {"m": 4})
+
+
+def _fuzz_valid_json(name):
+    """The valid values of a setting in its JSON type."""
+    if name == "window_auto":
+        return (True,)
+    kind = next(t for t in typing.get_args(cli._FIELD_TYPES[name]) or
+                (cli._FIELD_TYPES[name],) if t is not type(None))
+    return tuple(kind(text) if kind in (int, float) else text for text in _FUZZ_VALID[name])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_file_exits_cleanly(data):
+    # any --config file of any command ends in exit 0, or exit 1 with one
+    # error line and no out dir; only a run that diverges fails after the
+    # out dir is made.  The file wins over the flags, so the short start
+    # bounds a run only where the file leaves a setting out, and the
+    # valid values keep a run under 300 RK4 steps.
+    command = data.draw(st.sampled_from(list(cli.COMMANDS)))
+    names = data.draw(st.lists(st.sampled_from(
+        [name for name in cli.COMMANDS[command][1] if name != "out_dir"] + ["bogus"]),
+        unique=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "data.csv").write_text("x,y\n0,0\n1,0\n1,1\n0,1\n")
+        config = {}
+        for name in names:
+            valid = () if name == "bogus" else _fuzz_valid_json(name)
+            value = data.draw(st.sampled_from(valid + _FUZZ_JSON))
+            key = data.draw(st.sampled_from((name, name.replace("_", "-"))))
+            config[key] = str(tmp / value) if value == "data.csv" else value
+        if data.draw(st.booleans()) and not config:
+            config = data.draw(st.sampled_from(_FUZZ_JSON))
+        (tmp / "config.json").write_text(json.dumps(config))
+        args = [command, "--out-dir", str(tmp / "out"), "--config", str(tmp / "config.json")]
+        if "input" not in names and "synth" not in names:
+            args += ["--synth", "circle,16"]
+        if "runs" in cli.COMMANDS[command][1]:
+            args += _FUZZ_SIM_START
+        elif "duration" in cli.COMMANDS[command][1]:
+            args += _FUZZ_SIM_START[:4]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(args)

@@ -40,7 +40,7 @@ def test_matches_numpy_at_large_lengths(n):
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
-# direct prime, chirp prime, and mixed radices over both leaf kinds
+# pure halvings, and chirp leaves (prime or composite) alone and halved
 @pytest.mark.parametrize("n", [2, 59, 105, 243, 379, 758, 1024, 2062])
 def test_rows_transform_independently(n):
     x = np.stack([_random_signal(n, 31 * n + row) for row in range(5)])

@@ -9,6 +9,7 @@ from fourierpath import (
     IntegrationError,
     NoiseSpec,
     SimConfig,
+    Spectrum,
     TrigPath,
     add_noise,
     apply_window,
@@ -120,10 +121,14 @@ class TestIntegrate:
 
     def test_stacked_curves_integrate_like_lone_curves(self):
         truth, curves = noisy_curves([1, 2, 3], sigma=0.1)
+        # one more curve whose spectrum stores an exactly zero coefficient
+        spec = apply_window(dft(synth_path("lissajous", 64, [3, 2])), 16)
+        curves.append(make_trig_path(Spectrum(spec.k, np.where(spec.k == 2, 0, spec.a),
+                                              spec.n_samples)))
         params = GvfParams(1.0, 2.0)
         cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=2.0, dt=1e-3)
         batch = integrate(stacked(curves), params, cfg, truth=truth)
-        assert batch.x.shape == (2001, 3)
+        assert batch.x.shape == (2001, 4)
         for r, curve in enumerate(curves):
             lone = integrate(curve, params, cfg, truth=truth)
             assert np.array_equal(batch.t, lone.t)

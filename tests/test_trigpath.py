@@ -25,9 +25,17 @@ def test_dc_term_is_constant():
     assert path.eval_with_deriv(1.7)[2:] == (0.0, 0.0)
 
 
-def test_zero_amplitude_terms_dropped():
-    path = make_trig_path(sparse_spectrum(8, {0: 0j, 1: 1.0 + 0j, 3: 0j}))
-    assert path.n_terms == 1
+def test_zero_amplitude_terms_kept():
+    spec = sparse_spectrum(8, {0: 0j, 1: 1.0 + 0j, 3: -0.0 - 0.0j})
+    path = make_trig_path(spec)
+    assert np.array_equal(path.k, spec.k)
+    assert np.array_equal(path.amp, [0.0, 1.0, 0.0])
+    assert np.all(path.phase > -np.pi) and np.all(path.phase <= np.pi)
+    # a zero term moves no value of the curve or its derivative
+    lone = make_trig_path(sparse_spectrum(8, {1: 1.0 + 0j}))
+    th = np.linspace(-7.0, 9.0, 17)
+    for got, want in zip(path.eval_with_deriv(th), lone.eval_with_deriv(th)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [16, 17, 256, 757, 758, 1024])
