@@ -181,7 +181,7 @@ class TestSimulate:
         ["transform", "--synth", "circle,16", "--sigma1", "1e200"],
         # a start no step can integrate
         ["simulate", "--synth", "circle,16", "--x0", "1e30", "--duration", "0.1", "--dt", "0.01"],
-        ["simulate", "--synth", "circle,16", "--y0", "-1e30", "--duration", "0.1", "--dt", "0.01"],
+        ["simulate", "--synth", "circle,16", "--y0=-1e30", "--duration", "0.1", "--dt", "0.01"],
         ["certify", "--synth", "circle,16", "--theta0", "1e30", "--runs", "1",
          "--duration", "0.1", "--dt", "0.01"],
     ])
