@@ -50,8 +50,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-# most trajectory rows (steps + 1, summed over its runs) one certify batch
-# records, about 15 MB of trajectory arrays; a longer run goes alone
+# most trajectory rows (steps + 1 per run) and most curve terms (K per run)
+# one certify batch holds: about 15 MB of trajectory arrays, and complex
+# R x K tables of 4 MB at every step; a run past either bound goes alone
 _ROW_BUDGET = 1 << 18
 
 
@@ -199,12 +200,12 @@ def certify(
 
     The runs are integrated together, as one stack of curves (see
     :func:`~fourierpath.sim.integrate`), in batches of as many runs as fit
-    in ``_ROW_BUDGET`` recorded rows, and at least one.  The reference
-    curve is evaluated only on the final-10% rows that are averaged.  Each
-    run's value is the one integrating it alone gives, bit for bit.  When a
-    run diverges, :class:`IntegrationError` names it: of the first batch
-    with a diverging run, the run that diverges first, ties going to the
-    lowest index.
+    in ``_ROW_BUDGET`` recorded rows and ``_ROW_BUDGET`` curve terms, and
+    at least one.  The reference curve is evaluated only on the averaged
+    final-10% rows.  Each run's value is the one integrating it alone
+    gives, bit for bit.  When a run diverges, :class:`IntegrationError`
+    names it: of the first batch with a diverging run, the run that
+    diverges first, ties going to the lowest index.
 
     Run seeds derive deterministically from ``noise.seed`` via numpy's
     SeedSequence, so a fixed master seed reproduces the report exactly.
@@ -216,7 +217,9 @@ def certify(
     delta = p_bar(clean_spec, m, noise.sigma1, noise.sigma2)
     seeds = np.random.SeedSequence(int(noise.seed)).generate_state(runs, dtype=np.uint64)
     tail_start = 0.9 * cfg.duration - 1e-12
-    batch = max(1, _ROW_BUDGET // (_n_steps(cfg) + 1))
+    # every run's curve has the terms of the clean spectrum's window
+    terms = apply_window(clean_spec, m).k.size
+    batch = max(1, _ROW_BUDGET // max(_n_steps(cfg) + 1, terms))
 
     e_runs: list[float] = []
     p_runs: list[float] = []

@@ -226,11 +226,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def _config_file(source: str, command: str) -> dict:
     """The settings of ``command`` a JSON config file sets, type-checked."""
     try:
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             overrides = json.load(fh)
     except FileNotFoundError:
         raise CliError(f"config file not found: {source}")
-    except json.JSONDecodeError as exc:
+    # bad JSON, a byte that is not UTF-8, or an integer too long to convert
+    except ValueError as exc:
         raise CliError(f"config file {source}: {exc}")
     if not isinstance(overrides, dict):
         raise CliError("config file must hold a JSON object")

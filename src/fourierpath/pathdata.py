@@ -23,6 +23,12 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# largest magnitude of a coordinate, synthetic parameter or noise scale; NaN
+# fails the <= tests against it.  A noisy sample (a normal deviate is below
+# 100) then stays below 1e152, so every |a_k|^2 and, by Parseval's identity,
+# every energy, tail and bound (2*pi times a mean square at most) stays below
+# 1.3e305, and an FFT sum over up to 1e9 samples below 1e162: all finite.
+_MAGNITUDE_LIMIT = 1e150
 
 
 class PathDataError(ValueError):
@@ -76,12 +82,9 @@ class NoiseSpec:
     def __post_init__(self):
         for name in ("sigma1", "sigma2"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise PathDataError(f"{name} must be finite and >= 0, got {v!r}")
-        # by multiplication, which overflows to inf where ** raises
-        if not math.isfinite(self.sigma1 * self.sigma1 + self.sigma2 * self.sigma2):
-            raise PathDataError(f"sigma1^2 + sigma2^2 must be finite, got sigma1="
-                                f"{self.sigma1!r} and sigma2={self.sigma2!r}")
+            if not 0.0 <= v <= _MAGNITUDE_LIMIT:
+                raise PathDataError(f"{name} must be finite, >= 0 and at most "
+                                    f"{_MAGNITUDE_LIMIT:g}, got {v!r}")
         if not (0 <= int(self.seed) < 2**64):
             raise PathDataError("seed must fit in an unsigned 64-bit integer")
 
@@ -115,8 +118,9 @@ def load_path(source) -> PathSamples:
             raise PathDataError(
                 f"line {lineno}: could not parse {line!r} as two numbers"
             ) from None
-        if not (math.isfinite(px) and math.isfinite(py)):
-            raise PathDataError(f"line {lineno}: non-finite coordinate in {line!r}")
+        if not (abs(px) <= _MAGNITUDE_LIMIT and abs(py) <= _MAGNITUDE_LIMIT):
+            raise PathDataError(f"line {lineno}: coordinates must be finite and at most "
+                                f"{_MAGNITUDE_LIMIT:g} in magnitude, got {line!r}")
         rows.append((px, py))
     if len(rows) < 2:
         raise PathDataError("need at least 2 data points")
@@ -188,6 +192,7 @@ def _fill_params(params, defaults, kind):
             f"{kind} takes at most {len(defaults)} parameter(s), got {len(values)}"
         )
     values.extend(defaults[len(values) :])
-    if not all(math.isfinite(v) for v in values):
-        raise PathDataError(f"{kind} parameters must be finite")
+    if not all(abs(v) <= _MAGNITUDE_LIMIT for v in values):
+        raise PathDataError(f"{kind} parameters must be finite and at most "
+                            f"{_MAGNITUDE_LIMIT:g} in magnitude")
     return values

@@ -14,7 +14,7 @@ following curve r alone gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,25 +73,21 @@ class Trajectory:
     e_inst: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.t, self.x, self.y, self.theta,
-                    self.phi1, self.phi2, self.v1, self.e_inst):
-            arr.setflags(write=False)
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
 
     @property
     def n_rows(self) -> int:
         return self.t.size
 
     def write_csv(self, fh, stride: int = 1) -> None:
-        """Write ``t,x,y,theta,phi1,phi2,V1,e_inst`` rows, optionally decimated."""
+        """Write ``t,x,y,theta,phi1,phi2,V1,e_inst`` rows 0, stride, 2*stride, ...;
+        a stack of curves has no such table and raises ValueError."""
         if stride < 1:
             raise ValueError("stride must be >= 1")
-        fh.write("t,x,y,theta,phi1,phi2,V1,e_inst\n")
-        for i in range(0, self.n_rows, stride):
-            fh.write(
-                f"{self.t[i]:.17g},{self.x[i]:.17g},{self.y[i]:.17g},"
-                f"{self.theta[i]:.17g},{self.phi1[i]:.17g},{self.phi2[i]:.17g},"
-                f"{self.v1[i]:.17g},{self.e_inst[i]:.17g}\n"
-            )
+        columns = [getattr(self, f.name)[::stride] for f in fields(self)]
+        np.savetxt(fh, np.stack(columns, axis=1), fmt="%.17g", delimiter=",",
+                   header="t,x,y,theta,phi1,phi2,V1,e_inst", comments="")
 
 
 def integrate(

@@ -4,11 +4,10 @@ Conventions (they differ from most FFT libraries, so read this once):
 
 * The 1/N factor sits on the *forward* transform:
   ``a_k = (1/N) * sum_n c[n] exp(-2j*pi*k*n/N)`` with ``c[n] = x[n] + 1j*y[n]``.
-* Coefficients are stored on the signed index set: ``{-(N-1)/2 .. (N-1)/2}``
-  for odd N and ``{-N/2+1 .. N/2}`` for even N.  An N-point transform has a
-  single bin at the half-sample rate, so for even N it is stored once, at
-  ``+N/2``; ``-N/2`` is the same bin.  Re-indexing moves unsigned bin N-k to
-  signed index -k without any arithmetic.
+* Coefficients are stored on the signed index set ``-((N-1)//2) .. N//2``:
+  for even N the single bin at the half-sample rate is stored once, at
+  ``+N/2`` (``-N/2`` is the same bin).  Unsigned bin N-k is signed index -k,
+  so the signed order is the FFT output rotated left by N//2 + 1 places.
 * A "window of width m" keeps the signed indices with ``2*|k| <= m``: for
   even m that is ``-m/2 .. m/2`` (m+1 coefficients, e.g. m=100 keeps
   -50..50), for odd m it is ``-(m-1)/2 .. (m-1)/2``.
@@ -72,8 +71,7 @@ class Spectrum:
         n = int(self.n_samples)
         if n < 2:
             raise ValueError("n_samples must be >= 2")
-        lo = -(n // 2) + 1 if n % 2 == 0 else -((n - 1) // 2)
-        hi = n // 2
+        lo, hi = -((n - 1) // 2), n // 2
         if k.size and (k[0] < lo or k[-1] > hi):
             raise ValueError(f"indices must lie in [{lo}, {hi}] for n_samples={n}")
         if not np.all(np.isfinite(a)):
@@ -97,14 +95,11 @@ class Spectrum:
 
 
 def dft(samples: PathSamples) -> Spectrum:
-    """Forward transform of a path, coefficients on the signed index set."""
+    """Forward transform of a path on the signed index set: the FFT output
+    rotated left by N//2 + 1 places, since unsigned bin N-k is index -k."""
     n = samples.n_samples
-    c = samples.x + 1j * samples.y
-    coeffs = fft(c) / n
-    unsigned = np.arange(n)
-    signed = np.where(unsigned <= n // 2, unsigned, unsigned - n)
-    order = np.argsort(signed)
-    return Spectrum(k=signed[order], a=coeffs[order], n_samples=n)
+    coeffs = np.roll(fft(samples.x + 1j * samples.y) / n, -(n // 2 + 1))
+    return Spectrum(k=np.arange(n) - (n - 1) // 2, a=coeffs, n_samples=n)
 
 
 def apply_window(spec: Spectrum, m: int) -> Spectrum:
@@ -135,7 +130,8 @@ def tail_energy(spec: Spectrum, m: int | np.ndarray) -> float | np.ndarray:
 
 
 def write_spectrum_csv(spec: Spectrum, fh) -> None:
-    """Write ``k,re,im,magnitude`` lines sorted by k ascending."""
-    fh.write("k,re,im,magnitude\n")
-    for k, a in zip(spec.k, spec.a):
-        fh.write(f"{int(k)},{a.real:.17g},{a.imag:.17g},{abs(a):.17g}\n")
+    """Write ``k,re,im,magnitude`` lines sorted by k ascending; with 17
+    significant digits ``k`` prints as an integer, and magnitude is hypot(re, im)."""
+    re, im = spec.a.real, spec.a.imag
+    np.savetxt(fh, np.column_stack((spec.k, re, im, np.hypot(re, im))), fmt="%.17g",
+               delimiter=",", header="k,re,im,magnitude", comments="")

@@ -136,7 +136,5 @@ def write_reconstruction_csv(path: TrigPath, fh, samples: int = 1024) -> None:
     if samples < 2:
         raise ValueError("samples must be >= 2")
     th = TWO_PI * np.arange(samples) / samples
-    x, y = path.eval(th)
-    fh.write("theta,x,y\n")
-    for ti, xi, yi in zip(th, x, y):
-        fh.write(f"{ti:.17g},{xi:.17g},{yi:.17g}\n")
+    np.savetxt(fh, np.column_stack((th, *path.eval(th))), fmt="%.17g", delimiter=",",
+               header="theta,x,y", comments="")

@@ -344,6 +344,24 @@ class TestCertify:
         assert certify(self.LISSAJOUS, **kwargs) == whole
         assert batches == [(2,), (2,), ()]
 
+    def test_batches_are_bounded_by_curve_terms_too(self, monkeypatch):
+        kwargs = dict(noise=NoiseSpec(0.1, 0.15, 5), m=16, params=UNIT,
+                      cfg=SimConfig(FieldState(-1.0, 2.0, 0.0), duration=0.1, dt=1e-2),
+                      runs=5)
+        whole = certify(self.LISSAJOUS, **kwargs)
+        # 11 rows but 17 terms a run: a budget of 40 holds the rows of 3
+        # runs and the terms of 2, so the batches are 2, 2 and 1 runs
+        monkeypatch.setattr(analysis, "_ROW_BUDGET", 40)
+        batches = []
+
+        def spy(path, *args, **kw):
+            batches.append(path.amp.shape[:-1])
+            return integrate(path, *args, **kw)
+
+        monkeypatch.setattr(analysis, "integrate", spy)
+        assert certify(self.LISSAJOUS, **kwargs) == whole
+        assert batches == [(2,), (2,), ()]
+
     @pytest.mark.parametrize("budget", [1 << 18, 250])
     def test_divergence_names_the_run_that_diverges_first(self, monkeypatch, budget):
         # one batch of 5 runs, or batches of 2, 2 and 1; the first batch

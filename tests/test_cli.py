@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fourierpath
-from fourierpath import cli, pathdata
+from fourierpath import cli, pathdata, sim, spectrum, trigpath
 from fourierpath.cli import main
 
 
@@ -184,6 +184,12 @@ class TestSimulate:
         ["simulate", "--synth", "circle,16", "--y0=-1e30", "--duration", "0.1", "--dt", "0.01"],
         ["certify", "--synth", "circle,16", "--theta0", "1e30", "--runs", "1",
          "--duration", "0.1", "--dt", "0.01"],
+        # noise scales and synthetic parameters past the magnitude guard rail
+        ["sweep", "--synth", "circle,16", "--sigma1", "1.3e154"],
+        ["certify", "--synth", "circle,16", "--sigma2", "1e151", "--runs", "1",
+         "--duration", "0.01", "--dt", "0.001"],
+        ["transform", "--synth", "circle,16,1e151"],
+        ["sweep", "--synth", "ellipse,16,2,1e200"],
     ])
     def test_bad_output_option_fails_before_any_output(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -200,10 +206,27 @@ class TestSimulate:
         (["simulate", "--synth", "circle,64", "--window-m", "500"], "--window-m"),
         (["reconstruct", "--synth", "circle,64", "--m-list", "10,500"], "--m-list"),
         (["certify", "--synth", "circle,16", "--runs", str(10**30)], "--runs"),
+        (["transform", "--synth", "circle,16,1e151"], "--synth"),
+        (["sweep", "--synth", "circle,16", "--sigma1", "1.3e154"], "sigma1"),
     ])
     def test_error_names_the_flag(self, tmp_path, capsys, args, flag):
         assert run(args + ["--out-dir", tmp_path / "out"]) == 1
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,text,line", [
+        ("transform", "1e306,0\n-1e306,0\n0,1e306\n0,-1e306\n", 1),
+        ("sweep", "x,y\n1e200,0\n0,1e200\n-1e200,0\n", 2),
+        ("transform", "0,0\n1,1\n1,nan\n", 3),
+    ])
+    def test_csv_coordinate_past_the_guard_rail_names_its_line(self, tmp_path, capsys,
+                                                               command, text, line):
+        data = tmp_path / "big.csv"
+        data.write_text(text)
+        out = tmp_path / "out"
+        assert run([command, "--input", data, "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_unrecognized_flag_names_the_command(self, tmp_path, capsys):
         assert run(["transform", "--synth", "circle,8", "--window-m", "3",
@@ -358,12 +381,57 @@ class TestConfigFile:
                     "--config", cfg, "--out-dir", out]) == 0
         assert json.loads((out / "resolved_config.json").read_text())["window_m"] is None
 
+    @pytest.mark.parametrize("content", [
+        pytest.param(b'{"k1": ' + b"9" * 5000 + b"}", id="5000-digit-integer"),
+        pytest.param(b'{"synth": "circle,16\xff"}', id="non-utf8-byte"),
+    ])
+    def test_value_python_refuses_names_the_file(self, tmp_path, capsys, content):
+        cfg = tmp_path / "big.json"
+        cfg.write_bytes(content)
+        assert run(["certify", "--synth", "circle,16", "--config", cfg,
+                    "--out-dir", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_both_input_and_synth_rejected(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("0,0\n1,1\n")
         assert run(["transform", "--input", data, "--synth", "circle,8",
                     "--out-dir", tmp_path / "o"]) == 1
         assert "exactly one" in capsys.readouterr().err
+
+
+def test_tables_are_written_as_pinned_text(tmp_path):
+    # each table's header, LF endings, integer k and 17 significant digits,
+    # from values whose digits no libm rounding can move
+    spec = spectrum.Spectrum(k=[-1, 0, 1], a=[0.1, -2.5, 1j / 3], n_samples=3)
+    curve = trigpath.TrigPath(k=[0], amp=[0.1], phase=[0.0])
+    # 4 rows at stride 2: rows 0 and 2, the last row skipped
+    traj = sim.Trajectory(*(np.arange(32.0).reshape(8, 4) / 3))
+    writers = {
+        "spectrum.csv": lambda fh: spectrum.write_spectrum_csv(spec, fh),
+        "reconstruction.csv": lambda fh: trigpath.write_reconstruction_csv(curve, fh, 2),
+        "trajectory.csv": lambda fh: traj.write_csv(fh, stride=2),
+    }
+    for name, write in writers.items():
+        with open(tmp_path / name, "w", newline="\n") as fh:
+            write(fh)
+    assert (tmp_path / "spectrum.csv").read_bytes() == (
+        b"k,re,im,magnitude\n"
+        b"-1,0.10000000000000001,0,0.10000000000000001\n"
+        b"0,-2.5,0,2.5\n"
+        b"1,0,0.33333333333333331,0.33333333333333331\n")
+    assert (tmp_path / "reconstruction.csv").read_bytes() == (
+        b"theta,x,y\n"
+        b"0,0.10000000000000001,0\n"
+        b"3.1415926535897931,0.10000000000000001,0\n")
+    assert (tmp_path / "trajectory.csv").read_bytes() == (
+        b"t,x,y,theta,phi1,phi2,V1,e_inst\n"
+        b"0,1.3333333333333333,2.6666666666666665,4,5.333333333333333,"
+        b"6.666666666666667,8,9.3333333333333339\n"
+        b"0.66666666666666663,2,3.3333333333333335,4.666666666666667,6,"
+        b"7.333333333333333,8.6666666666666661,10\n")
 
 
 def test_memory_error_ends_in_one_error_line(tmp_path, capsys, monkeypatch):

@@ -137,6 +137,33 @@ class TestAddNoise:
             NoiseSpec(-0.1, 0.0, 0)
 
 
+class TestMagnitudeGuardRail:
+    def test_coordinate_past_the_rail_names_its_line(self, tmp_path):
+        with pytest.raises(PathDataError, match="line 3: coordinates must be finite"):
+            load_path(_csv(tmp_path, "0,0\n1,1\n-1e151,0\n"))
+
+    @pytest.mark.parametrize("kind,params", [("circle", [1e151]), ("ellipse", [2.0, 1e200]),
+                                             ("lissajous", [3, 2, 1e160])])
+    def test_synthetic_parameter_past_the_rail_rejected(self, kind, params):
+        with pytest.raises(PathDataError, match="finite"):
+            synth_path(kind, 8, params)
+
+    @pytest.mark.parametrize("sigma1,sigma2", [(1.3e154, 0.0), (0.0, 1e151), (np.nan, 0.0)])
+    def test_noise_scale_past_the_rail_rejected(self, sigma1, sigma2):
+        with pytest.raises(PathDataError, match="finite"):
+            NoiseSpec(sigma1, sigma2, 0)
+
+    def test_values_at_the_rail_keep_every_energy_finite(self, tmp_path):
+        from fourierpath import dft, p_bar
+
+        data = load_path(_csv(tmp_path, "1e150,-1e150\n-1e150,1e150\n1e150,1e150\n"))
+        for clean in (data, synth_path("ellipse", 16, [1e150, 1e150])):
+            spec = dft(add_noise(clean, NoiseSpec(1e150, 1e150, 3)))
+            assert np.isfinite(spec.energy())
+            assert np.all(np.isfinite(p_bar(spec, np.arange(1, clean.n_samples + 1),
+                                             1e150, 1e150)))
+
+
 class TestPathSamples:
     def test_requires_two_columns(self):
         with pytest.raises(PathDataError):

@@ -223,3 +223,12 @@ def test_trajectory_csv_round_trip(unit_epicycle):
     decimated = io.StringIO()
     traj.write_csv(decimated, stride=5)
     assert len(decimated.getvalue().strip().splitlines()) == 1 + len(range(0, traj.n_rows, 5))
+
+
+def test_stacked_trajectory_has_no_csv_table():
+    # a (rows, R) column does not fit one row of the trajectory table
+    _, curves = noisy_curves([1, 2], sigma=0.1)
+    traj = integrate(stacked(curves), UNIT,
+                     SimConfig(FieldState(-1.0, 2.0, 0.0), duration=0.1, dt=1e-2))
+    with pytest.raises(ValueError):
+        traj.write_csv(io.StringIO())
