@@ -409,14 +409,12 @@ def test_tables_are_written_as_pinned_text(tmp_path):
     curve = trigpath.TrigPath(k=[0], amp=[0.1], phase=[0.0])
     # 4 rows at stride 2: rows 0 and 2, the last row skipped
     traj = sim.Trajectory(*(np.arange(32.0).reshape(8, 4) / 3))
-    writers = {
-        "spectrum.csv": lambda fh: spectrum.write_spectrum_csv(spec, fh),
-        "reconstruction.csv": lambda fh: trigpath.write_reconstruction_csv(curve, fh, 2),
-        "trajectory.csv": lambda fh: traj.write_csv(fh, stride=2),
-    }
-    for name, write in writers.items():
-        with open(tmp_path / name, "w", newline="\n") as fh:
-            write(fh)
+    with open(tmp_path / "spectrum.csv", "w", newline="\n") as fh:
+        spectrum.write_spectrum_csv(spec, fh)
+    with open(tmp_path / "reconstruction.csv", "w", newline="\n") as fh:
+        trigpath.write_reconstruction_csv(curve, fh, samples=2)
+    with open(tmp_path / "trajectory.csv", "w", newline="\n") as fh:
+        traj.write_csv(fh, stride=2)
     assert (tmp_path / "spectrum.csv").read_bytes() == (
         b"k,re,im,magnitude\n"
         b"-1,0.10000000000000001,0,0.10000000000000001\n"

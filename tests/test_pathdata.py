@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourierpath import NoiseSpec, PathDataError, PathSamples, add_noise, load_path, synth_path
+from fourierpath import (NoiseSpec, PathDataError, PathSamples, add_noise, dft, load_path, p_bar,
+                         synth_path)
 
 
 def _csv(tmp_path, text):
@@ -154,8 +155,6 @@ class TestMagnitudeGuardRail:
             NoiseSpec(sigma1, sigma2, 0)
 
     def test_values_at_the_rail_keep_every_energy_finite(self, tmp_path):
-        from fourierpath import dft, p_bar
-
         data = load_path(_csv(tmp_path, "1e150,-1e150\n-1e150,1e150\n1e150,1e150\n"))
         for clean in (data, synth_path("ellipse", 16, [1e150, 1e150])):
             spec = dft(add_noise(clean, NoiseSpec(1e150, 1e150, 3)))
