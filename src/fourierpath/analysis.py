@@ -99,8 +99,7 @@ def reconstruction_mse(truth: TrigPath, approx: TrigPath) -> float:
     that only one curve has counts in full.
     """
     k = np.concatenate((truth.k, approx.k))
-    a = np.concatenate((truth.amp * np.exp(1j * truth.phase),
-                        -approx.amp * np.exp(1j * approx.phase)))
+    a = np.concatenate((truth.a, -approx.a))
     ks, slot = np.unique(k, return_inverse=True)
     gap = np.zeros(ks.size, dtype=np.complex128)
     np.add.at(gap, slot, a)

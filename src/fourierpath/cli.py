@@ -74,6 +74,7 @@ def main(argv=None) -> int:
         _check_options(cfg)
         widths = _widths(cfg)
         clean = _load_samples(cfg)
+        _check_followable(cfg, clean)
         for flag, m in widths:
             _named(flag, spectrum.checked_widths, m, clean.n_samples)
         out = _prepare_out_dir(cfg)
@@ -329,6 +330,17 @@ def _load_samples(cfg: RunConfig) -> pathdata.PathSamples:
     n = _parse(parts[1], "--synth sample count")
     params = [_parse(p, "--synth parameter", float) for p in parts[2:]]
     return _named("--synth", pathdata.synth_path, parts[0], n, params)
+
+
+def _check_followable(cfg: RunConfig, clean: pathdata.PathSamples) -> None:
+    """Data the integrator stops on at its first step, whatever --dt is."""
+    if cfg.command not in ("simulate", "certify"):
+        return
+    peak = float(abs(clean.points).max())
+    if peak > sim._DIVERGENCE_LIMIT:
+        raise CliError(f"{'--input' if cfg.input else '--synth'}: the closed loop cannot "
+                       f"follow a path whose coordinates exceed {sim._DIVERGENCE_LIMIT:g} "
+                       f"in magnitude, got {peak:g}")
 
 
 def _perturbed(clean: pathdata.PathSamples, cfg: RunConfig) -> pathdata.PathSamples:

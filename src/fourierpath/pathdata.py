@@ -92,13 +92,14 @@ class NoiseSpec:
 def load_path(source) -> PathSamples:
     """Parse an ordered point list from CSV: one ``x,y`` record per line.
 
-    ``source`` is the path of a UTF-8 file.  A single leading header line is
-    skipped when its first field is not numeric.  Blank lines are ignored.
+    ``source`` is the path of a UTF-8 file; a leading byte order mark is
+    dropped.  A single leading header line is skipped when its first field is
+    not numeric.  Blank lines are ignored.
     Malformed records raise :class:`PathDataError` naming the offending line.
     """
     rows = []
     may_be_header = True
-    lines = Path(source).read_text(encoding="utf-8").splitlines()
+    lines = Path(source).read_text(encoding="utf-8-sig").splitlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:

@@ -3,9 +3,16 @@
 A curve is a finite sum of rotating terms:
 ``x(th) = sum amp*cos(k*th + phase)``, ``y(th) = sum amp*sin(k*th + phase)``,
 so the curve built from a full N-point spectrum passes through the data
-samples at ``th = 2*pi*n/N``.  The point and its derivative come from one
-shared trig evaluation.  Evaluation wraps th mod 2*pi, so the curve is
-2*pi-periodic and stays accurate for large unwrapped parameters.
+samples at ``th = 2*pi*n/N``.  At arbitrary parameters the point and its
+derivative come from one shared trig evaluation, O(K) per parameter for
+K terms.  Evaluation wraps th mod 2*pi, so the curve is 2*pi-periodic and
+stays accurate for large unwrapped parameters.
+
+On the uniform grid ``th_j = 2*pi*j/S`` (a :class:`UniformGrid`) the
+points come from one length-S transform instead: with the complex
+coefficients ``a_k = amp*exp(i*phase)`` folded as ``b[(-k) mod S] += a_k``,
+the forward transform gives ``z_j = sum a_k exp(i*k*th_j)`` exactly,
+aliasing included, in O(S log S + K) rather than O(S*K).
 
 A ``TrigPath`` may also hold a stack of R curves over one shared ``k``:
 ``amp`` and ``phase`` are then (R, K) arrays, and evaluating it at R
@@ -21,13 +28,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fft import fft
 from .spectrum import Spectrum
 
-__all__ = ["TrigPath", "make_trig_path", "write_reconstruction_csv"]
+__all__ = ["TrigPath", "UniformGrid", "make_trig_path", "write_reconstruction_csv"]
 
 TWO_PI = 2.0 * math.pi
 # largest parameter-by-term table built at once when evaluating arrays
 _BLOCK_ELEMENTS = 1 << 13
+
+
+@dataclass(frozen=True)
+class UniformGrid:
+    """The S parameters ``th_j = 2*pi*j/S``, j < S, of one period."""
+
+    samples: int
+
+    def __post_init__(self):
+        if (not isinstance(self.samples, (int, np.integer)) or isinstance(self.samples, bool)
+                or self.samples < 1):
+            raise ValueError(f"a grid takes an integer sample count >= 1, "
+                             f"got {self.samples!r}")
+
+    @property
+    def theta(self) -> np.ndarray:
+        return TWO_PI * np.arange(self.samples) / self.samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,6 +61,8 @@ class TrigPath:
 
     Amplitudes are >= 0 and phases lie in (-pi, pi].  ``amp`` and
     ``phase`` are (K,) for one curve, or (R, K) for a stack of R curves.
+    The complex coefficients ``a = amp*exp(i*phase)``, of the same shape,
+    are computed once and kept read-only.
     """
 
     k: np.ndarray
@@ -62,15 +89,23 @@ class TrigPath:
         object.__setattr__(self, "amp", amp)
         object.__setattr__(self, "phase", phase)
         kamp = (k * amp).astype(np.float64)
-        kamp.setflags(write=False)
-        object.__setattr__(self, "_kamp", kamp)
+        a = amp * np.exp(1j * phase)
+        for name, arr in (("_kamp", kamp), ("a", a)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_terms(self) -> int:
         return self.k.size
 
     def eval(self, theta):
-        """Curve point(s) at theta; scalars in, floats out, arrays in, arrays out."""
+        """Curve point(s) at theta; scalars in, floats out, arrays in, arrays out.
+
+        A :class:`UniformGrid` in gives the (S,) arrays at its parameters,
+        from one transform of the folded coefficients; a stack refuses it.
+        """
+        if isinstance(theta, UniformGrid):
+            return self._eval_grid(theta.samples)
         return self._evaluate(theta, self._point)
 
     def eval_with_deriv(self, theta):
@@ -116,6 +151,14 @@ class TrigPath:
     def _rotations(self, th):
         return np.exp(1j * (np.multiply.outer(th, self.k) + self.phase))
 
+    def _eval_grid(self, samples):
+        if self.amp.ndim == 2:
+            raise ValueError("a stack of curves cannot be evaluated on a grid")
+        folded = np.zeros(samples, dtype=np.complex128)
+        np.add.at(folded, -self.k % samples, self.a)
+        z = fft(folded)
+        return z.real, z.imag
+
 
 def make_trig_path(spec: Spectrum) -> TrigPath:
     """Build the evaluable curve from a (possibly windowed) spectrum.
@@ -132,9 +175,12 @@ def make_trig_path(spec: Spectrum) -> TrigPath:
 
 
 def write_reconstruction_csv(path: TrigPath, fh, samples: int = 1024) -> None:
-    """Write ``theta,x,y`` rows at `samples` uniform parameters in [0, 2*pi)."""
+    """Write ``theta,x,y`` rows at `samples` uniform parameters in [0, 2*pi).
+
+    The points come from one transform on the grid (see :class:`UniformGrid`).
+    """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    th = TWO_PI * np.arange(samples) / samples
-    np.savetxt(fh, np.column_stack((th, *path.eval(th))), fmt="%.17g", delimiter=",",
-               header="theta,x,y", comments="")
+    grid = UniformGrid(samples)
+    np.savetxt(fh, np.column_stack((grid.theta, *path.eval(grid))), fmt="%.17g",
+               delimiter=",", header="theta,x,y", comments="")

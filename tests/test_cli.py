@@ -88,6 +88,21 @@ class TestReconstruct:
         xy = np.array([[float(r[1]), float(r[2])] for r in rows])
         assert np.max(np.abs(xy - ps.points)) < 1e-6
 
+    def test_prime_sample_count_passes_through_the_data(self, tmp_path):
+        # 1031 is prime, so the grid transform takes the chirp path, and
+        # its parameter j lands on sample 2j of the 2062 data samples
+        rng = np.random.default_rng(5)
+        points = rng.standard_normal((2062, 2))
+        data = tmp_path / "data.csv"
+        np.savetxt(data, points, fmt="%.17g", delimiter=",")
+        out = tmp_path / "out"
+        assert run(["reconstruct", "--input", data, "--m-list", "full", "--samples", "1031",
+                    "--out-dir", out]) == 0
+        table = np.loadtxt(out / "reconstruction_full.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 0], 2.0 * np.pi * np.arange(1031) / 1031)
+        scale = np.sum(np.abs(spectrum.dft(pathdata.PathSamples(points)).a))
+        assert np.max(np.abs(table[:, 1:] - points[::2])) <= 1e-9 * scale
+
     def test_tiny_width_stays_finite(self, tmp_path):
         out = tmp_path / "out"
         assert run(["reconstruct", "--synth", "circle,32", "--m-list", "1",
@@ -190,6 +205,10 @@ class TestSimulate:
          "--duration", "0.01", "--dt", "0.001"],
         ["transform", "--synth", "circle,16,1e151"],
         ["sweep", "--synth", "ellipse,16,2,1e200"],
+        # data larger than any state the integrator keeps
+        ["simulate", "--synth", "circle,16,1e150", "--duration", "0.01", "--dt", "0.001"],
+        ["certify", "--synth", "circle,16,1e13", "--runs", "1", "--duration", "0.01",
+         "--dt", "0.001"],
     ])
     def test_bad_output_option_fails_before_any_output(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -208,6 +227,8 @@ class TestSimulate:
         (["certify", "--synth", "circle,16", "--runs", str(10**30)], "--runs"),
         (["transform", "--synth", "circle,16,1e151"], "--synth"),
         (["sweep", "--synth", "circle,16", "--sigma1", "1.3e154"], "sigma1"),
+        (["simulate", "--synth", "circle,16,1e150", "--duration", "0.01", "--dt", "0.001"],
+         "--synth"),
     ])
     def test_error_names_the_flag(self, tmp_path, capsys, args, flag):
         assert run(args + ["--out-dir", tmp_path / "out"]) == 1
@@ -227,6 +248,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_data_past_the_divergence_limit_names_its_source(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("2e12,0\n0,2e12\n-2e12,0\n")
+        out = tmp_path / "out"
+        assert run(["simulate", "--input", data, "--duration", "0.01", "--dt", "0.001",
+                    "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --input: ") and err.count("\n") == 1
+        assert not out.exists()
+        # a command that does not integrate takes the same data
+        assert run(["transform", "--input", data, "--out-dir", out]) == 0
 
     def test_unrecognized_flag_names_the_command(self, tmp_path, capsys):
         assert run(["transform", "--synth", "circle,8", "--window-m", "3",

@@ -31,6 +31,13 @@ class TestLoadPath:
         assert ps.n_samples == 2
         assert ps.points[1, 1] == 2.0
 
+    def test_byte_order_mark_is_not_part_of_the_first_field(self, tmp_path):
+        ps = load_path(_csv(tmp_path, "\ufeff0,0\n1,0\n1,1\n"))
+        assert np.array_equal(ps.points, [[0, 0], [1, 0], [1, 1]])
+        # before a header it still skips only the header
+        ps = load_path(_csv(tmp_path, "\ufeffx,y\n0,0\n1,0\n1,1\n"))
+        assert np.array_equal(ps.points, [[0, 0], [1, 0], [1, 1]])
+
     def test_round_trips_a_written_file(self, tmp_path):
         target = tmp_path / "path.csv"
         pts = synth_path("circle", 758, [1.0])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourierpath import apply_window, dft, make_trig_path, synth_path, trigpath
-from fourierpath.trigpath import TrigPath, write_reconstruction_csv
+from fourierpath.trigpath import TrigPath, UniformGrid, write_reconstruction_csv
 
 from conftest import decaying_spectrum, random_path, sparse_spectrum
 from oracles import partial_sum
@@ -164,3 +164,79 @@ def test_reconstruction_csv_export():
     assert len(lines) == 17
     th0, x0, y0 = (float(v) for v in lines[1].split(","))
     assert (th0, x0, y0) == (0.0, pytest.approx(1.0), pytest.approx(0.0, abs=1e-15))
+
+
+def _assert_grid_matches(path, samples, k, a):
+    # the grid transform against the direct sum and the pointwise path
+    grid = UniformGrid(samples)
+    x, y = path.eval(grid)
+    assert x.shape == y.shape == (samples,)
+    tol = 1e-12 * np.sum(np.abs(a))
+    want = partial_sum(k, a, grid.theta)
+    pointwise = path.eval(grid.theta)
+    for got, direct, point in ((x, want.real, pointwise[0]), (y, want.imag, pointwise[1])):
+        assert np.max(np.abs(got - direct)) <= tol
+        assert np.max(np.abs(got - point)) <= tol
+
+
+@pytest.mark.parametrize("samples", [1, 2, 7, 24, 25, 26, 64, 100, 509, 1031])
+def test_grid_evaluation_folds_terms_modulo_the_sample_count(samples):
+    # K = 25 terms: sample counts below K alias terms onto one bin, 25 is
+    # K itself, and 7, 509 and 1031 are primes, transformed by the chirp
+    w = apply_window(decaying_spectrum(64, seed=11, base=0.9), 24)
+    _assert_grid_matches(make_trig_path(w), samples, w.k, w.a)
+
+
+@pytest.mark.parametrize("n", [16, 758, 2062])
+def test_grid_evaluation_keeps_the_plus_half_term_of_an_even_spectrum(n):
+    data = random_path(n, seed=n)
+    spec = dft(data)
+    assert spec.k[-1] == n // 2
+    path = make_trig_path(spec)
+    for samples in (n // 2, n, 2 * n + 1):
+        _assert_grid_matches(path, samples, spec.k, spec.a)
+    # on the sample grid the full curve passes through the data
+    x, y = path.eval(UniformGrid(n))
+    assert np.max(np.hypot(x - data.x, y - data.y)) < 1e-9
+
+
+def test_grid_evaluation_ignores_zero_amplitude_terms():
+    spec = sparse_spectrum(8, {-3: 0j, 0: 0.5 + 0j, 1: 1.0 - 2.0j, 3: -0.0 - 0.0j})
+    path = make_trig_path(spec)
+    lone = make_trig_path(sparse_spectrum(8, {0: 0.5 + 0j, 1: 1.0 - 2.0j}))
+    for samples in (1, 3, 6, 8, 13):
+        _assert_grid_matches(path, samples, spec.k, spec.a)
+        for got, want in zip(path.eval(UniformGrid(samples)), lone.eval(UniformGrid(samples))):
+            assert np.array_equal(got, want)
+
+
+def test_grid_is_refused_by_a_stack_and_by_the_derivative():
+    curves = [make_trig_path(apply_window(decaying_spectrum(32, seed=s), 8)) for s in (1, 2)]
+    stack = TrigPath(curves[0].k, np.stack([c.amp for c in curves]),
+                     np.stack([c.phase for c in curves]))
+    with pytest.raises(ValueError, match="stack"):
+        stack.eval(UniformGrid(16))
+    with pytest.raises(TypeError):
+        curves[0].eval_with_deriv(UniformGrid(16))
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.0, 1.5, "8", True, None])
+def test_grid_takes_an_integer_sample_count_of_at_least_one(samples):
+    with pytest.raises(ValueError, match="sample count"):
+        UniformGrid(samples)
+
+
+def test_grid_parameters_are_the_uniform_ones():
+    assert UniformGrid(np.int64(4)).theta.tolist() == [0.0, np.pi / 2, np.pi, 1.5 * np.pi]
+    assert UniformGrid(1).theta.tolist() == [0.0]
+
+
+def test_complex_coefficients_are_kept_read_only():
+    w = apply_window(decaying_spectrum(32, seed=9), 10)
+    path = make_trig_path(w)
+    assert np.array_equal(path.a, path.amp * np.exp(1j * path.phase))
+    assert np.max(np.abs(path.a - w.a)) < 1e-15
+    assert not path.a.flags.writeable
+    stack = TrigPath(path.k, np.stack((path.amp, path.amp)), np.stack((path.phase, path.phase)))
+    assert stack.a.shape == (2, path.n_terms)
+    assert np.array_equal(stack.a[1], path.a)
