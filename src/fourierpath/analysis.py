@@ -94,9 +94,9 @@ def reconstruction_mse(truth: TrigPath, approx: TrigPath) -> float:
     """Integral over one period of the squared gap between two curves.
 
     By Parseval's identity the integral is exactly
-    2*pi*sum(|a_k^truth - a_k^approx|^2) with a_k = amp*exp(i*phase), so
-    it comes from the coefficients alone.  Terms are matched by k; a k
-    that only one curve has counts in full.
+    2*pi*sum(|a_k^truth - a_k^approx|^2), so it comes from the curves'
+    own coefficients alone.  Terms are matched by k; a k that only one
+    curve has counts in full.
     """
     k = np.concatenate((truth.k, approx.k))
     a = np.concatenate((truth.a, -approx.a))
@@ -257,8 +257,7 @@ def certify(
 
 def _stack(paths: list[TrigPath]) -> TrigPath:
     """The curves, which share one ``k``, as one stack."""
-    return TrigPath(paths[0].k, np.stack([path.amp for path in paths]),
-                    np.stack([path.phase for path in paths]))
+    return TrigPath(paths[0].k, np.stack([path.a for path in paths]))
 
 
 def _widths_up_to(spec: Spectrum, m_max: int) -> np.ndarray:

@@ -333,14 +333,23 @@ def _load_samples(cfg: RunConfig) -> pathdata.PathSamples:
 
 
 def _check_followable(cfg: RunConfig, clean: pathdata.PathSamples) -> None:
-    """Data the integrator stops on at its first step, whatever --dt is."""
+    """Data the integrator stops on at its first step, whatever --dt is.
+
+    A normal deviate is below 100 (see ``pathdata``), so noise of scale
+    sigma keeps every coordinate below the clean peak plus 100*sigma.
+    """
     if cfg.command not in ("simulate", "certify"):
         return
+    limit = sim._DIVERGENCE_LIMIT
     peak = float(abs(clean.points).max())
-    if peak > sim._DIVERGENCE_LIMIT:
+    if peak > limit:
         raise CliError(f"{'--input' if cfg.input else '--synth'}: the closed loop cannot "
-                       f"follow a path whose coordinates exceed {sim._DIVERGENCE_LIMIT:g} "
+                       f"follow a path whose coordinates exceed {limit:g} "
                        f"in magnitude, got {peak:g}")
+    for flag, sigma in (("--sigma1", cfg.sigma1), ("--sigma2", cfg.sigma2)):
+        if peak + 100.0 * sigma > limit:
+            raise CliError(f"{flag}: noise of scale {sigma:g} can push the path past "
+                           f"{limit:g} in magnitude, where the closed loop cannot follow it")
 
 
 def _perturbed(clean: pathdata.PathSamples, cfg: RunConfig) -> pathdata.PathSamples:

@@ -118,7 +118,7 @@ def integrate(
 
     t = dt * np.arange(n_steps + 1)
     # () for one curve, (R,) for a stack of R
-    runs = path.amp.shape[:-1]
+    runs = path.a.shape[:-1]
     # one row (x, y, theta, phi1, phi2) per step
     rows = np.empty((n_steps + 1, 5, *runs))
 
@@ -174,9 +174,10 @@ def _squared_error(truth: TrigPath, x, y, theta):
 def convergence_time(traj: Trajectory, tol: float) -> float | None:
     """First time from which phi1^2 + phi2^2 stays <= tol to the end.
 
-    Returns None when the condition never holds through the final sample
-    (with tol = 0 that is the typical outcome: the offsets do not hit
-    floating-point zero unless the start was exactly on the path).
+    For a stack of curves it is the first time from which every run stays
+    within tol.  Returns None when the condition never holds through the
+    final sample (with tol = 0 that is the typical outcome: the offsets do
+    not hit floating-point zero unless the start was exactly on the path).
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError("tol must be finite and >= 0")
@@ -185,6 +186,6 @@ def convergence_time(traj: Trajectory, tol: float) -> float | None:
     if above.size == 0:
         return float(traj.t[0])
     last = int(above[-1])
-    if last == v.size - 1:
+    if last == traj.n_rows - 1:
         return None
     return float(traj.t[last + 1])

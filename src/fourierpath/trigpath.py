@@ -1,24 +1,24 @@
 """Truncated trigonometric curves and their exact parameter derivative.
 
-A curve is a finite sum of rotating terms:
-``x(th) = sum amp*cos(k*th + phase)``, ``y(th) = sum amp*sin(k*th + phase)``,
-so the curve built from a full N-point spectrum passes through the data
-samples at ``th = 2*pi*n/N``.  At arbitrary parameters the point and its
-derivative come from one shared trig evaluation, O(K) per parameter for
-K terms.  Evaluation wraps th mod 2*pi, so the curve is 2*pi-periodic and
-stays accurate for large unwrapped parameters.
+A curve is the finite sum ``x(th) + i*y(th) = sum a_k*exp(i*k*th)`` of its
+complex coefficients, so the curve built from a full N-point spectrum
+passes through the data samples at ``th = 2*pi*n/N``.  At arbitrary
+parameters the point and its derivative come from one shared trig
+evaluation of the polar form ``x = sum |a_k|*cos(k*th + arg a_k)``,
+``y = sum |a_k|*sin(k*th + arg a_k)``, O(K) per parameter for K terms.
+Evaluation wraps th mod 2*pi, so the curve is 2*pi-periodic and stays
+accurate for large unwrapped parameters.
 
 On the uniform grid ``th_j = 2*pi*j/S`` (a :class:`UniformGrid`) the
-points come from one length-S transform instead: with the complex
-coefficients ``a_k = amp*exp(i*phase)`` folded as ``b[(-k) mod S] += a_k``,
-the forward transform gives ``z_j = sum a_k exp(i*k*th_j)`` exactly,
-aliasing included, in O(S log S + K) rather than O(S*K).
+points come from one length-S transform instead: with the coefficients
+folded as ``b[(-k) mod S] += a_k``, the forward transform gives
+``z_j = sum a_k exp(i*k*th_j)`` exactly, aliasing included, in
+O(S log S + K) rather than O(S*K).
 
 A ``TrigPath`` may also hold a stack of R curves over one shared ``k``:
-``amp`` and ``phase`` are then (R, K) arrays, and evaluating it at R
-parameters pairs parameter r with curve r.  Each curve of a stack rounds
-exactly like the same curve held alone, as long as both have the same
-terms.
+``a`` is then an (R, K) array, and evaluating it at R parameters pairs
+parameter r with curve r.  Each curve of a stack rounds exactly like the
+same curve held alone, as long as both have the same terms.
 """
 
 from __future__ import annotations
@@ -57,40 +57,31 @@ class UniformGrid:
 
 @dataclass(frozen=True, eq=False)
 class TrigPath:
-    """Immutable term list (k, amplitude, phase).
+    """Immutable term list: indices ``k`` and complex coefficients ``a``.
 
-    Amplitudes are >= 0 and phases lie in (-pi, pi].  ``amp`` and
-    ``phase`` are (K,) for one curve, or (R, K) for a stack of R curves.
-    The complex coefficients ``a = amp*exp(i*phase)``, of the same shape,
-    are computed once and kept read-only.
+    ``a`` is (K,) for one curve, or (R, K) for a stack of R curves, and is
+    kept read-only.  The polar tables the pointwise sums run on, amplitudes
+    ``|a|`` and phases in (-pi, pi], are derived from it once.
     """
 
     k: np.ndarray
-    amp: np.ndarray
-    phase: np.ndarray
+    a: np.ndarray
 
     def __post_init__(self):
         k = np.asarray(self.k, dtype=np.int64)
-        amp = np.asarray(self.amp, dtype=np.float64)
-        phase = np.asarray(self.phase, dtype=np.float64)
-        if (k.ndim != 1 or amp.ndim not in (1, 2) or amp.shape != phase.shape
-                or amp.shape[-1] != k.size):
-            raise ValueError("k must be 1-D, and amp and phase (K,) or (R, K) arrays "
-                             "over its K terms")
-        if not np.all(np.isfinite(amp)) or not np.all(np.isfinite(phase)):
-            raise ValueError("amplitudes and phases must be finite")
-        if np.any(amp < 0):
-            raise ValueError("amplitudes must be >= 0")
-        if np.any(phase <= -np.pi) or np.any(phase > np.pi):
-            raise ValueError("phases must lie in (-pi, pi]")
-        for arr in (k, amp, phase):
-            arr.setflags(write=False)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "amp", amp)
-        object.__setattr__(self, "phase", phase)
+        a = np.asarray(self.a, dtype=np.complex128)
+        if k.ndim != 1 or a.ndim not in (1, 2) or a.shape[-1] != k.size:
+            raise ValueError("k must be 1-D, and a a (K,) or (R, K) array over its K terms")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("coefficients must be finite")
+        amp = np.abs(a)
+        phase = np.angle(a)
+        # angle() returns -pi for a negative real part with a -0.0 imaginary
+        # part; fold that onto +pi to keep phases in (-pi, pi].
+        phase = np.where(phase <= -np.pi, phase + TWO_PI, phase)
         kamp = (k * amp).astype(np.float64)
-        a = amp * np.exp(1j * phase)
-        for name, arr in (("_kamp", kamp), ("a", a)):
+        for name, arr in (("k", k), ("a", a), ("_amp", amp), ("_phase", phase),
+                          ("_kamp", kamp)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -115,10 +106,10 @@ class TrigPath:
     # vecdot sums a row the same way whether it stands alone or in a block
     # of any height, where ``@`` picks a kernel by the block's shape.
     def _point(self, c, s):
-        return np.vecdot(c, self.amp), np.vecdot(s, self.amp)
+        return np.vecdot(c, self._amp), np.vecdot(s, self._amp)
 
     def _point_and_deriv(self, c, s):
-        return (np.vecdot(c, self.amp), np.vecdot(s, self.amp),
+        return (np.vecdot(c, self._amp), np.vecdot(s, self._amp),
                 -np.vecdot(s, self._kamp), np.vecdot(c, self._kamp))
 
     def _evaluate(self, theta, sums):
@@ -131,9 +122,9 @@ class TrigPath:
         size of its coefficients.
         """
         th = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI)
-        if self.amp.ndim == 2:
-            if th.shape != self.amp.shape[:1]:
-                raise ValueError(f"a stack of {self.amp.shape[0]} curves takes "
+        if self.a.ndim == 2:
+            if th.shape != self.a.shape[:1]:
+                raise ValueError(f"a stack of {self.a.shape[0]} curves takes "
                                  f"one parameter per curve, got shape {th.shape}")
             w = self._rotations(th)
             return sums(w.real, w.imag)
@@ -149,10 +140,10 @@ class TrigPath:
         return tuple(np.concatenate(part).reshape(th.shape) for part in zip(*blocks))
 
     def _rotations(self, th):
-        return np.exp(1j * (np.multiply.outer(th, self.k) + self.phase))
+        return np.exp(1j * (np.multiply.outer(th, self.k) + self._phase))
 
     def _eval_grid(self, samples):
-        if self.amp.ndim == 2:
+        if self.a.ndim == 2:
             raise ValueError("a stack of curves cannot be evaluated on a grid")
         folded = np.zeros(samples, dtype=np.complex128)
         np.add.at(folded, -self.k % samples, self.a)
@@ -166,12 +157,7 @@ def make_trig_path(spec: Spectrum) -> TrigPath:
     Every stored coefficient becomes a term, a zero one a zero-amplitude
     term, so the curves of spectra over one index set share their ``k``.
     """
-    amp = np.abs(spec.a)
-    phase = np.angle(spec.a)
-    # angle() returns -pi for a negative real part with a -0.0 imaginary
-    # part; fold that onto +pi to keep phases in (-pi, pi].
-    phase = np.where(phase <= -np.pi, phase + TWO_PI, phase)
-    return TrigPath(k=spec.k, amp=amp, phase=phase)
+    return TrigPath(spec.k, spec.a)
 
 
 def write_reconstruction_csv(path: TrigPath, fh, samples: int = 1024) -> None:

@@ -337,7 +337,7 @@ class TestCertify:
         batches = []
 
         def spy(path, *args, **kw):
-            batches.append(path.amp.shape[:-1])
+            batches.append(path.a.shape[:-1])
             return integrate(path, *args, **kw)
 
         monkeypatch.setattr(analysis, "integrate", spy)
@@ -355,7 +355,7 @@ class TestCertify:
         batches = []
 
         def spy(path, *args, **kw):
-            batches.append(path.amp.shape[:-1])
+            batches.append(path.a.shape[:-1])
             return integrate(path, *args, **kw)
 
         monkeypatch.setattr(analysis, "integrate", spy)

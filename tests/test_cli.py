@@ -209,6 +209,11 @@ class TestSimulate:
         ["simulate", "--synth", "circle,16,1e150", "--duration", "0.01", "--dt", "0.001"],
         ["certify", "--synth", "circle,16,1e13", "--runs", "1", "--duration", "0.01",
          "--dt", "0.001"],
+        # noise that pushes followable data past it
+        ["simulate", "--synth", "circle,16", "--sigma1", "1e13", "--duration", "0.01",
+         "--dt", "0.001"],
+        ["certify", "--synth", "circle,16", "--sigma2", "1e13", "--runs", "1",
+         "--duration", "0.01", "--dt", "0.001"],
     ])
     def test_bad_output_option_fails_before_any_output(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -229,6 +234,10 @@ class TestSimulate:
         (["sweep", "--synth", "circle,16", "--sigma1", "1.3e154"], "sigma1"),
         (["simulate", "--synth", "circle,16,1e150", "--duration", "0.01", "--dt", "0.001"],
          "--synth"),
+        (["simulate", "--synth", "circle,16", "--sigma1", "1e13", "--duration", "0.01",
+          "--dt", "0.001"], "--sigma1"),
+        (["certify", "--synth", "circle,16", "--sigma2", "1e13", "--runs", "1",
+          "--duration", "0.01", "--dt", "0.001"], "--sigma2"),
     ])
     def test_error_names_the_flag(self, tmp_path, capsys, args, flag):
         assert run(args + ["--out-dir", tmp_path / "out"]) == 1
@@ -439,7 +448,7 @@ def test_tables_are_written_as_pinned_text(tmp_path):
     # each table's header, LF endings, integer k and 17 significant digits,
     # from values whose digits no libm rounding can move
     spec = spectrum.Spectrum(k=[-1, 0, 1], a=[0.1, -2.5, 1j / 3], n_samples=3)
-    curve = trigpath.TrigPath(k=[0], amp=[0.1], phase=[0.0])
+    curve = trigpath.TrigPath(k=[0], a=[0.1])
     # 4 rows at stride 2: rows 0 and 2, the last row skipped
     traj = sim.Trajectory(*(np.arange(32.0).reshape(8, 4) / 3))
     with open(tmp_path / "spectrum.csv", "w", newline="\n") as fh:

@@ -38,8 +38,7 @@ def stacked(curves):
     # a stack shares one k; these noisy curves keep every windowed term
     for curve in curves:
         assert np.array_equal(curve.k, curves[0].k)
-    return TrigPath(curves[0].k, np.stack([c.amp for c in curves]),
-                    np.stack([c.phase for c in curves]))
+    return TrigPath(curves[0].k, np.stack([c.a for c in curves]))
 
 
 class TestIntegrate:
@@ -188,6 +187,17 @@ class TestConvergenceTime:
         cfg = SimConfig(FieldState(2.0, 0.0, 0.0), duration=2.0, dt=1e-3)
         traj = integrate(unit_epicycle, UNIT, cfg)
         assert convergence_time(traj, 0.0) is None
+
+    def test_stack_converges_when_its_last_run_does(self):
+        _, curves = noisy_curves([1, 2, 3], sigma=0.1)
+        cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=4.0, dt=1e-2)
+        lone = [integrate(curve, UNIT, cfg) for curve in curves]
+        batch = integrate(stacked(curves), UNIT, cfg)
+        times = [convergence_time(traj, 1e-4) for traj in lone]
+        assert None not in times and len(set(times)) > 1
+        assert convergence_time(batch, 1e-4) == max(times)
+        # every run's last row is above a zero tolerance
+        assert convergence_time(batch, 0.0) is None
 
     def test_negative_tolerance_rejected(self, unit_epicycle):
         cfg = SimConfig(FieldState(2.0, 0.0, 0.0), duration=1.0, dt=1e-2)

@@ -29,8 +29,7 @@ def test_zero_amplitude_terms_kept():
     spec = sparse_spectrum(8, {0: 0j, 1: 1.0 + 0j, 3: -0.0 - 0.0j})
     path = make_trig_path(spec)
     assert np.array_equal(path.k, spec.k)
-    assert np.array_equal(path.amp, [0.0, 1.0, 0.0])
-    assert np.all(path.phase > -np.pi) and np.all(path.phase <= np.pi)
+    assert np.array_equal(np.abs(path.a), [0.0, 1.0, 0.0])
     # a zero term moves no value of the curve or its derivative
     lone = make_trig_path(sparse_spectrum(8, {1: 1.0 + 0j}))
     th = np.linspace(-7.0, 9.0, 17)
@@ -82,9 +81,9 @@ def test_array_point_equals_scalar_point(n_terms):
     # two full blocks and a one-row last block: a point must not depend on
     # the height of the block its parameter lands in
     rng = np.random.default_rng(n_terms)
+    amp = rng.uniform(0.0, 1.0, n_terms)
     path = TrigPath(k=np.arange(n_terms) - n_terms // 2,
-                    amp=rng.uniform(0.0, 1.0, n_terms),
-                    phase=rng.uniform(-3.0, 3.0, n_terms))
+                    a=amp * np.exp(1j * rng.uniform(-3.0, 3.0, n_terms)))
     rows = max(1, trigpath._BLOCK_ELEMENTS // n_terms)
     th = rng.uniform(-10.0, 10.0, 2 * rows + 1)
     for batched, scalar in ((path.eval(th), path.eval),
@@ -128,18 +127,27 @@ def test_truncation_error_is_monotone_on_clean_data():
 
 
 def test_type_validation():
-    with pytest.raises(ValueError):
-        TrigPath(k=np.array([1]), amp=np.array([-1.0]), phase=np.array([0.0]))
-    with pytest.raises(ValueError):
-        TrigPath(k=np.array([1]), amp=np.array([1.0]), phase=np.array([4.0]))
-    with pytest.raises(ValueError):
-        TrigPath(k=np.array([1, 2]), amp=np.array([1.0]), phase=np.array([0.0]))
+    for k, a in (([1, 2], [1.0]), ([[1, 2]], [1.0, 2.0]), ([1], 1.0), ([1], [[[1.0]]])):
+        with pytest.raises(ValueError, match="over its K terms"):
+            TrigPath(k=k, a=a)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf), complex(1.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            TrigPath(k=[0, 1], a=[1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            TrigPath(k=[0, 1], a=[[1.0, 2.0], [bad, 0.5]])
+
+
+def test_negative_real_coefficient_ignores_the_sign_of_its_zero_imaginary_part():
+    # its phase is +pi either way, so both curves round alike
+    th = np.linspace(-7.0, 9.0, 17)
+    up, down = (TrigPath(k=[-2, 3], a=[0.5j, complex(-1.5, im)]) for im in (0.0, -0.0))
+    for got, want in zip(down.eval_with_deriv(th), up.eval_with_deriv(th)):
+        assert np.array_equal(got, want)
 
 
 def test_stack_pairs_parameter_r_with_curve_r():
     curves = [make_trig_path(apply_window(decaying_spectrum(64, seed=s), 20)) for s in (1, 2, 3)]
-    stack = TrigPath(curves[0].k, np.stack([c.amp for c in curves]),
-                     np.stack([c.phase for c in curves]))
+    stack = TrigPath(curves[0].k, np.stack([c.a for c in curves]))
     th = np.array([0.3, -2.0, 40.0])
     point, both = stack.eval(th), stack.eval_with_deriv(th)
     for r, curve in enumerate(curves):
@@ -148,10 +156,9 @@ def test_stack_pairs_parameter_r_with_curve_r():
     for theta in (0.3, th[:2], np.stack((th, th))):
         with pytest.raises(ValueError, match="one parameter per curve"):
             stack.eval(theta)
-    k, amp = curves[0].k, np.ones((2, curves[0].n_terms))
-    for bad in (dict(k=k[1:], amp=amp, phase=amp), dict(k=k, amp=amp, phase=amp[:1]),
-                dict(k=k, amp=amp[None], phase=amp[None])):
-        with pytest.raises(ValueError):
+    k, a = curves[0].k, np.ones((2, curves[0].n_terms), dtype=complex)
+    for bad in (dict(k=k[1:], a=a), dict(k=k[None], a=a), dict(k=k, a=a[None])):
+        with pytest.raises(ValueError, match="over its K terms"):
             TrigPath(**bad)
 
 
@@ -212,8 +219,7 @@ def test_grid_evaluation_ignores_zero_amplitude_terms():
 
 def test_grid_is_refused_by_a_stack_and_by_the_derivative():
     curves = [make_trig_path(apply_window(decaying_spectrum(32, seed=s), 8)) for s in (1, 2)]
-    stack = TrigPath(curves[0].k, np.stack([c.amp for c in curves]),
-                     np.stack([c.phase for c in curves]))
+    stack = TrigPath(curves[0].k, np.stack([c.a for c in curves]))
     with pytest.raises(ValueError, match="stack"):
         stack.eval(UniformGrid(16))
     with pytest.raises(TypeError):
@@ -234,9 +240,19 @@ def test_grid_parameters_are_the_uniform_ones():
 def test_complex_coefficients_are_kept_read_only():
     w = apply_window(decaying_spectrum(32, seed=9), 10)
     path = make_trig_path(w)
-    assert np.array_equal(path.a, path.amp * np.exp(1j * path.phase))
-    assert np.max(np.abs(path.a - w.a)) < 1e-15
     assert not path.a.flags.writeable
-    stack = TrigPath(path.k, np.stack((path.amp, path.amp)), np.stack((path.phase, path.phase)))
+    stack = TrigPath(path.k, np.stack((path.a, path.a)))
     assert stack.a.shape == (2, path.n_terms)
-    assert np.array_equal(stack.a[1], path.a)
+    assert not stack.a.flags.writeable
+
+
+@pytest.mark.parametrize("n, m", [(32, 10), (758, 100), (758, 758), (2062, 2062)])
+def test_curve_holds_the_spectrum_coefficients_bit_for_bit(n, m):
+    w = apply_window(dft(random_path(n, seed=n)), m)
+    path = make_trig_path(w)
+    assert path.a.dtype == np.complex128
+    assert path.a.tobytes() == w.a.tobytes()
+    other = make_trig_path(apply_window(dft(random_path(n, seed=n + 1)), m))
+    stack = TrigPath(path.k, np.stack((other.a, path.a, other.a)))
+    assert stack.a[1].tobytes() == path.a.tobytes()
+    assert stack.a[0].tobytes() == other.a.tobytes()
