@@ -11,7 +11,7 @@ from .pathdata import (
     synth_path,
 )
 from .spectrum import Spectrum, apply_window, dft, tail_energy
-from .trigpath import TrigPath, make_trig_path
+from .trigpath import TrigPath
 from .gvf import (
     FieldState,
     GvfParams,
@@ -44,7 +44,6 @@ __all__ = [
     "dft",
     "tail_energy",
     "TrigPath",
-    "make_trig_path",
     "FieldState",
     "GvfParams",
     "NonSingularityReport",

@@ -101,8 +101,7 @@ def _cmd_transform(cfg: RunConfig, clean: pathdata.PathSamples, out: Path) -> No
 def _cmd_reconstruct(cfg: RunConfig, clean: pathdata.PathSamples, out: Path) -> None:
     spec = spectrum.dft(_perturbed(clean, cfg))
     for m in _reconstruct_widths(cfg):
-        windowed = spec if m is None else spectrum.apply_window(spec, m)
-        path = trigpath.make_trig_path(windowed)
+        path = spec if m is None else spectrum.apply_window(spec, m)
         target = out / f"reconstruction_{'full' if m is None else m}.csv"
         with open(target, "w", newline="\n") as fh:
             trigpath.write_reconstruction_csv(path, fh, cfg.samples)
@@ -112,12 +111,11 @@ def _cmd_reconstruct(cfg: RunConfig, clean: pathdata.PathSamples, out: Path) -> 
 def _cmd_simulate(cfg: RunConfig, clean: pathdata.PathSamples, out: Path) -> None:
     data = _perturbed(clean, cfg)
     spec = spectrum.dft(data)
-    followed = trigpath.make_trig_path(
-        spectrum.apply_window(spec, _window_width(spec, cfg)))
+    followed = spectrum.apply_window(spec, _window_width(spec, cfg))
     # with synthetic noise the clean data is in hand, so measure the error
     # against the clean full reconstruction; otherwise against the followed
     # curve itself
-    truth = trigpath.make_trig_path(spectrum.dft(clean)) if data is not clean else None
+    truth = spectrum.dft(clean) if data is not clean else None
     traj = sim.integrate(followed, _params(cfg), _sim_config(cfg), truth=truth)
     target = out / "trajectory.csv"
     with open(target, "w", newline="\n") as fh:

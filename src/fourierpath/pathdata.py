@@ -29,6 +29,9 @@ TWO_PI = 2.0 * math.pi
 # every energy, tail and bound (2*pi times a mean square at most) stays below
 # 1.3e305, and an FFT sum over up to 1e9 samples below 1e162: all finite.
 _MAGNITUDE_LIMIT = 1e150
+# most samples a synthetic path may have: a sweep of 1e6 samples peaks near
+# 360 MB resident, so this many stay near 3.6 GB
+_SAMPLE_LIMIT = 10**7
 
 
 class PathDataError(ValueError):
@@ -139,8 +142,8 @@ def synth_path(kind: str, n: int, params=()) -> PathSamples:
     * ``lissajous``: [a=3, b=2, delta=0] giving x = cos(a*t + delta),
       y = sin(b*t); a and b must be positive integers so the curve closes.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise PathDataError(f"n must be an integer >= 2, got {n!r}")
+    if not isinstance(n, (int, np.integer)) or not 2 <= n <= _SAMPLE_LIMIT:
+        raise PathDataError(f"n must be an integer in 2..{_SAMPLE_LIMIT}, got {n!r}")
     t = TWO_PI * np.arange(n) / n
     if kind == "circle":
         (radius,) = _fill_params(params, (1.0,), "circle")

@@ -1,5 +1,9 @@
 """Spectra of planar paths: forward transform, windowing, tail energy.
 
+A spectrum is the truncated trigonometric curve of its own coefficients:
+:class:`Spectrum` extends ``trigpath.TrigPath`` with the sample count N,
+so a spectrum, windowed or not, is followed and evaluated as it stands.
+
 Conventions (they differ from most FFT libraries, so read this once):
 
 * The 1/N factor sits on the *forward* transform:
@@ -21,6 +25,7 @@ import numpy as np
 
 from .fft import fft
 from .pathdata import PathSamples
+from .trigpath import TrigPath
 
 __all__ = [
     "Spectrum",
@@ -50,22 +55,22 @@ def checked_widths(m: int | np.ndarray, n_samples: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Complex coefficients over signed indices; indices not stored are zero.
+class Spectrum(TrigPath):
+    """One curve whose terms are the transform of N samples; indices not
+    stored are zero.
 
-    ``k`` is strictly increasing, ``a`` holds the matching coefficients and
-    ``n_samples`` is the length N of the originating dataset.
+    ``k`` is strictly increasing within ``-((N-1)//2) .. N//2``, ``a`` holds
+    the matching coefficients and ``n_samples`` is the length N of the
+    originating dataset.
     """
 
-    k: np.ndarray
-    a: np.ndarray
     n_samples: int
 
     def __post_init__(self):
-        k = np.asarray(self.k, dtype=np.int64)
-        a = np.asarray(self.a, dtype=np.complex128)
-        if k.ndim != 1 or a.shape != k.shape:
-            raise ValueError("k and a must be 1-D arrays of equal length")
+        super().__post_init__()
+        if self.a.ndim != 1:
+            raise ValueError("a spectrum is one curve: a must be 1-D")
+        k = self.k
         if k.size and np.any(np.diff(k) <= 0):
             raise ValueError("indices must be strictly increasing")
         n = int(self.n_samples)
@@ -74,12 +79,6 @@ class Spectrum:
         lo, hi = -((n - 1) // 2), n // 2
         if k.size and (k[0] < lo or k[-1] > hi):
             raise ValueError(f"indices must lie in [{lo}, {hi}] for n_samples={n}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("coefficients must be finite")
-        for arr in (k, a):
-            arr.setflags(write=False)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "a", a)
         object.__setattr__(self, "n_samples", n)
 
     def coefficient(self, k: int) -> complex:

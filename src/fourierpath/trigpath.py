@@ -1,7 +1,8 @@
 """Truncated trigonometric curves and their exact parameter derivative.
 
 A curve is the finite sum ``x(th) + i*y(th) = sum a_k*exp(i*k*th)`` of its
-complex coefficients, so the curve built from a full N-point spectrum
+complex coefficients.  A spectrum (``spectrum.Spectrum``) is such a curve,
+with the transform's coefficients as its terms, so a full N-point spectrum
 passes through the data samples at ``th = 2*pi*n/N``.  At arbitrary
 parameters the point and its derivative come from one shared trig
 evaluation of the polar form ``x = sum |a_k|*cos(k*th + arg a_k)``,
@@ -29,9 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fft import fft
-from .spectrum import Spectrum
 
-__all__ = ["TrigPath", "UniformGrid", "make_trig_path", "write_reconstruction_csv"]
+__all__ = ["TrigPath", "UniformGrid", "write_reconstruction_csv"]
 
 TWO_PI = 2.0 * math.pi
 # largest parameter-by-term table built at once when evaluating arrays
@@ -59,17 +59,18 @@ class UniformGrid:
 class TrigPath:
     """Immutable term list: indices ``k`` and complex coefficients ``a``.
 
-    ``a`` is (K,) for one curve, or (R, K) for a stack of R curves, and is
-    kept read-only.  The polar tables the pointwise sums run on, amplitudes
-    ``|a|`` and phases in (-pi, pi], are derived from it once.
+    ``a`` is (K,) for one curve, or (R, K) for a stack of R curves.  Both
+    arrays are read-only copies of the caller's.  The polar tables the
+    pointwise sums run on, amplitudes ``|a|`` and phases in (-pi, pi], are
+    derived from ``a`` once.
     """
 
     k: np.ndarray
     a: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.k, dtype=np.int64)
-        a = np.asarray(self.a, dtype=np.complex128)
+        k = np.array(self.k, dtype=np.int64)
+        a = np.array(self.a, dtype=np.complex128)
         if k.ndim != 1 or a.ndim not in (1, 2) or a.shape[-1] != k.size:
             raise ValueError("k must be 1-D, and a a (K,) or (R, K) array over its K terms")
         if not np.all(np.isfinite(a)):
@@ -149,15 +150,6 @@ class TrigPath:
         np.add.at(folded, -self.k % samples, self.a)
         z = fft(folded)
         return z.real, z.imag
-
-
-def make_trig_path(spec: Spectrum) -> TrigPath:
-    """Build the evaluable curve from a (possibly windowed) spectrum.
-
-    Every stored coefficient becomes a term, a zero one a zero-amplitude
-    term, so the curves of spectra over one index set share their ``k``.
-    """
-    return TrigPath(spec.k, spec.a)
 
 
 def write_reconstruction_csv(path: TrigPath, fh, samples: int = 1024) -> None:

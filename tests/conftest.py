@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fourierpath import PathSamples, Spectrum, dft, make_trig_path, synth_path
+from fourierpath import PathSamples, Spectrum, dft, synth_path
 
 
 def random_path(n, seed, scale=1.0):
@@ -45,4 +45,4 @@ def decaying_path(n, seed, base=0.6, scale=1.0):
 @pytest.fixture
 def unit_epicycle():
     """Single-term curve (cos t, sin t) built through the real pipeline."""
-    return make_trig_path(dft(synth_path("circle", 64, [1.0])))
+    return dft(synth_path("circle", 64, [1.0]))

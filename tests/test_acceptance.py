@@ -36,7 +36,6 @@ from fourierpath import (
     f_backward,
     integrate,
     lyapunov_rate,
-    make_trig_path,
     p_bar,
     reconstruction_mse,
     select_window,
@@ -69,11 +68,11 @@ def _report(num, name, ok, detail=""):
 
 def _five_paths():
     return [
-        make_trig_path(dft(synth_path("circle", 64, [1.0]))),
-        make_trig_path(dft(synth_path("ellipse", 64, [2.0, 1.0]))),
-        make_trig_path(apply_window(dft(synth_path("lissajous", 128, [3, 2])), 9)),
-        make_trig_path(decaying_spectrum(101, seed=11)),
-        make_trig_path(apply_window(decaying_spectrum(758, seed=12), 100)),
+        dft(synth_path("circle", 64, [1.0])),
+        dft(synth_path("ellipse", 64, [2.0, 1.0])),
+        apply_window(dft(synth_path("lissajous", 128, [3, 2])), 9),
+        decaying_spectrum(101, seed=11),
+        apply_window(decaying_spectrum(758, seed=12), 100),
     ]
 
 
@@ -97,7 +96,7 @@ def test_criterion_01_fft_matches_naive_dft():
 def test_criterion_02_full_spectrum_interpolation():
     start = time.perf_counter()
     ps = synth_path("lissajous", 758, [3, 2])
-    path = make_trig_path(dft(ps))
+    path = dft(ps)
     th = TWO_PI * np.arange(758) / 758
     x, y = path.eval(th)
     worst = float(np.max(np.hypot(x - ps.x, y - ps.y)))
@@ -140,15 +139,15 @@ def test_criterion_03_non_singularity_sweep():
 
 def test_criterion_04_lyapunov_decrease():
     configs = [
-        (make_trig_path(dft(synth_path("circle", 64, [1.0]))), GvfParams(1.0, 1.0),
+        (dft(synth_path("circle", 64, [1.0])), GvfParams(1.0, 1.0),
          FieldState(2.0, 0.0, 0.0)),
-        (make_trig_path(dft(synth_path("circle", 64, [1.0]))), GvfParams(2.0, 0.5),
+        (dft(synth_path("circle", 64, [1.0])), GvfParams(2.0, 0.5),
          FieldState(-1.0, 2.0, 0.7)),
-        (make_trig_path(dft(synth_path("ellipse", 64, [2.0, 1.0]))), GvfParams(1.0, 3.0),
+        (dft(synth_path("ellipse", 64, [2.0, 1.0])), GvfParams(1.0, 3.0),
          FieldState(3.0, -2.0, 0.0)),
-        (make_trig_path(apply_window(dft(synth_path("lissajous", 128, [3, 2])), 9)),
+        (apply_window(dft(synth_path("lissajous", 128, [3, 2])), 9),
          GvfParams(1.0, 1.0), FieldState(0.5, 0.5, 0.0)),
-        (make_trig_path(apply_window(decaying_spectrum(128, seed=5), 24)),
+        (apply_window(decaying_spectrum(128, seed=5), 24),
          GvfParams(1.5, 1.5), FieldState(-1.0, 2.0, 0.0)),
     ]
     worst_step = -np.inf
@@ -298,8 +297,8 @@ def test_criterion_08_mse_equals_coefficient_gap():
         spec = dft(random_path(n, seed=seed))
         m = max(1, n // 3)
         w = apply_window(spec, m)
-        truth = make_trig_path(spec)
-        approx = make_trig_path(w)
+        truth = spec
+        approx = w
         kept = set(w.k.tolist())
         gap = sum(
             abs(spec.coefficient(int(k)) - (w.coefficient(int(k)) if int(k) in kept else 0j)) ** 2

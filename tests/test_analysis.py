@@ -14,7 +14,6 @@ from fourierpath import (
     dft,
     f_backward,
     integrate,
-    make_trig_path,
     p_bar,
     reconstruction_mse,
     select_window,
@@ -38,12 +37,12 @@ UNIT = GvfParams(1.0, 1.0)
 
 class TestReconstructionMse:
     def test_identical_curves_give_zero(self):
-        path = make_trig_path(decaying_spectrum(32, seed=1))
+        path = decaying_spectrum(32, seed=1)
         assert reconstruction_mse(path, path) <= 1e-12
 
     def test_unit_epicycle_against_nothing(self):
-        truth = make_trig_path(sparse_spectrum(8, {1: 1.0 + 0j}))
-        empty = make_trig_path(sparse_spectrum(8, {}))
+        truth = sparse_spectrum(8, {1: 1.0 + 0j})
+        empty = sparse_spectrum(8, {})
         assert reconstruction_mse(truth, empty) == pytest.approx(TWO_PI, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -52,8 +51,8 @@ class TestReconstructionMse:
         # squared coefficient differences (orthogonality of harmonics)
         spec = dft(random_path(48, seed=seed))
         w = apply_window(spec, 10)
-        truth = make_trig_path(spec)
-        approx = make_trig_path(w)
+        truth = spec
+        approx = w
         kept = set(w.k.tolist())
         gap = sum(
             abs(spec.coefficient(int(k)) - (w.coefficient(int(k)) if int(k) in kept else 0j)) ** 2
@@ -76,8 +75,8 @@ class TestReconstructionMse:
     def test_matches_quadrature_of_the_gap(self, truth_spec, approx_spec):
         # no term is above |k| = 24, so the squared gap has no harmonic
         # above 48 and the 128-point rectangle rule integrates it exactly
-        truth = make_trig_path(truth_spec)
-        approx = make_trig_path(approx_spec)
+        truth = truth_spec
+        approx = approx_spec
         want = quadrature_curve_gap(truth.eval, approx.eval, 128)
         assert reconstruction_mse(truth, approx) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -305,11 +304,11 @@ class TestCertify:
 
     def lone_runs(self, noise, runs, params, cfg):
         """(followed curve, trajectory or IntegrationError) of each run alone."""
-        truth = make_trig_path(dft(self.LISSAJOUS))
+        truth = dft(self.LISSAJOUS)
         seeds = np.random.SeedSequence(noise.seed).generate_state(runs, dtype=np.uint64)
         for seed in seeds:
             noisy = add_noise(self.LISSAJOUS, NoiseSpec(noise.sigma1, noise.sigma2, int(seed)))
-            followed = make_trig_path(apply_window(dft(noisy), 16))
+            followed = apply_window(dft(noisy), 16)
             try:
                 yield followed, integrate(followed, params, cfg, truth=truth)
             except IntegrationError as exc:
@@ -319,7 +318,7 @@ class TestCertify:
         noise = NoiseSpec(0.1, 0.15, 99)
         cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=2.0, dt=2e-3)
         report = certify(self.LISSAJOUS, noise, 16, UNIT, cfg, runs=3)
-        truth = make_trig_path(dft(self.LISSAJOUS))
+        truth = dft(self.LISSAJOUS)
         lone = list(self.lone_runs(noise, 3, UNIT, cfg))
         tail = lone[0][1].t >= 0.9 * cfg.duration - 1e-12
         assert report.e_ms_per_run == tuple(float(np.mean(traj.e_inst[tail]))

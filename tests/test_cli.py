@@ -214,6 +214,8 @@ class TestSimulate:
          "--dt", "0.001"],
         ["certify", "--synth", "circle,16", "--sigma2", "1e13", "--runs", "1",
          "--duration", "0.01", "--dt", "0.001"],
+        # more samples than the sample-count guard rail allows
+        ["sweep", "--synth", f"circle,{pathdata._SAMPLE_LIMIT + 1}"],
     ])
     def test_bad_output_option_fails_before_any_output(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -238,6 +240,7 @@ class TestSimulate:
           "--dt", "0.001"], "--sigma1"),
         (["certify", "--synth", "circle,16", "--sigma2", "1e13", "--runs", "1",
           "--duration", "0.01", "--dt", "0.001"], "--sigma2"),
+        (["sweep", "--synth", f"circle,{pathdata._SAMPLE_LIMIT + 1}"], "--synth"),
     ])
     def test_error_names_the_flag(self, tmp_path, capsys, args, flag):
         assert run(args + ["--out-dir", tmp_path / "out"]) == 1

@@ -7,7 +7,6 @@ from fourierpath import (
     apply_window,
     dft,
     lyapunov_rate,
-    make_trig_path,
     synth_path,
     verify_nonsingular,
 )
@@ -21,10 +20,10 @@ UNIT = GvfParams(1.0, 1.0)
 
 def _paths():
     return [
-        make_trig_path(dft(synth_path("circle", 64, [1.0]))),
-        make_trig_path(dft(synth_path("ellipse", 64, [2.0, 1.0]))),
-        make_trig_path(apply_window(decaying_spectrum(128, seed=1), 24)),
-        make_trig_path(decaying_spectrum(101, seed=2)),
+        dft(synth_path("circle", 64, [1.0])),
+        dft(synth_path("ellipse", 64, [2.0, 1.0])),
+        apply_window(decaying_spectrum(128, seed=1), 24),
+        decaying_spectrum(101, seed=2),
     ]
 
 
@@ -62,7 +61,7 @@ class TestChi:
         assert _v1(unit_epicycle, 2.0, 0.0, 0.0, UNIT) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_path_gives_pure_parameter_motion(self):
-        path = make_trig_path(sparse_spectrum(8, {0: 0j}))
+        path = sparse_spectrum(8, {0: 0j})
         for th in (0.0, 2.0, 11.0):
             assert _field(path, 0.0, 0.0, th) == pytest.approx([0.0, 0.0, 1.0])
 
@@ -146,7 +145,7 @@ class TestVerifyNonsingular:
         assert report.certificate_states >= 20_000
 
     def test_rich_path_sweep_clean(self):
-        path = make_trig_path(apply_window(decaying_spectrum(758, seed=7), 100))
+        path = apply_window(decaying_spectrum(758, seed=7), 100)
         report = verify_nonsingular(path, GvfParams(0.7, 1.9), self.BOX, 20_000, rng_seed=1)
         assert report.passed
 

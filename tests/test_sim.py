@@ -16,7 +16,6 @@ from fourierpath import (
     convergence_time,
     dft,
     integrate,
-    make_trig_path,
     synth_path,
 )
 from fourierpath.gvf import _field_terms
@@ -29,9 +28,9 @@ UNIT = GvfParams(1.0, 1.0)
 def noisy_curves(seeds, sigma, m=16):
     """The clean lissajous-64 curve and one windowed noisy curve per seed."""
     clean = synth_path("lissajous", 64, [3, 2])
-    curves = [make_trig_path(apply_window(dft(add_noise(clean, NoiseSpec(sigma, sigma, s))), m))
+    curves = [apply_window(dft(add_noise(clean, NoiseSpec(sigma, sigma, s))), m)
               for s in seeds]
-    return make_trig_path(dft(clean)), curves
+    return dft(clean), curves
 
 
 def stacked(curves):
@@ -74,7 +73,7 @@ class TestIntegrate:
         assert np.linalg.norm(final(1e-3) - final(5e-4)) < 1e-6
 
     def test_each_row_is_one_rk4_step_from_the_last(self):
-        path = make_trig_path(apply_window(decaying_spectrum(128, seed=1), 24))
+        path = apply_window(decaying_spectrum(128, seed=1), 24)
         params = GvfParams(1.0, 2.0)
         dt = 1e-2
         traj = integrate(path, params, SimConfig(FieldState(-1.0, 2.0, 0.5), 2.0, dt))
@@ -98,7 +97,7 @@ class TestIntegrate:
         assert np.all(gap <= 1e-12 * np.linalg.norm(state[:, 1:], axis=0))
 
     def test_parameter_increases_once_converged(self):
-        path = make_trig_path(apply_window(decaying_spectrum(128, seed=1), 24))
+        path = apply_window(decaying_spectrum(128, seed=1), 24)
         params = GvfParams(1.0, 2.0)
         cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=10.0, dt=1e-3)
         traj = integrate(path, params, cfg)
@@ -111,7 +110,7 @@ class TestIntegrate:
         assert np.all(np.diff(traj.theta)[quiet] > 0)
 
     def test_blow_up_reports_step_and_hints_dt(self):
-        path = make_trig_path(apply_window(decaying_spectrum(758, seed=3, base=0.9), 100))
+        path = apply_window(decaying_spectrum(758, seed=3, base=0.9), 100)
         cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=20.0, dt=10.0)
         with pytest.raises(IntegrationError, match="dt") as err:
             integrate(path, GvfParams(8.0, 8.0), cfg)
@@ -122,8 +121,7 @@ class TestIntegrate:
         truth, curves = noisy_curves([1, 2, 3], sigma=0.1)
         # one more curve whose spectrum stores an exactly zero coefficient
         spec = apply_window(dft(synth_path("lissajous", 64, [3, 2])), 16)
-        curves.append(make_trig_path(Spectrum(spec.k, np.where(spec.k == 2, 0, spec.a),
-                                              spec.n_samples)))
+        curves.append(Spectrum(spec.k, np.where(spec.k == 2, 0, spec.a), spec.n_samples))
         params = GvfParams(1.0, 2.0)
         cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=2.0, dt=1e-3)
         batch = integrate(stacked(curves), params, cfg, truth=truth)
@@ -151,9 +149,9 @@ class TestIntegrate:
 
     def test_error_against_reference_curve(self):
         clean = synth_path("circle", 64, [1.0])
-        truth = make_trig_path(dft(clean))
+        truth = dft(clean)
         noisy = add_noise(clean, NoiseSpec(0.05, 0.05, 5))
-        followed = make_trig_path(apply_window(dft(noisy), 6))
+        followed = apply_window(dft(noisy), 6)
         cfg = SimConfig(FieldState(1.0, 0.0, 0.0), duration=2.0, dt=1e-3)
         traj = integrate(followed, UNIT, cfg, truth=truth)
         # each row's squared distance to the reference point at its own
@@ -176,7 +174,7 @@ class TestConvergenceTime:
     def test_larger_gain_converges_faster(self):
         times = {}
         for k1 in (1.0, 2.0):
-            path = make_trig_path(dft(synth_path("circle", 64, [1.0])))
+            path = dft(synth_path("circle", 64, [1.0]))
             cfg = SimConfig(FieldState(2.0, 0.0, 0.0), duration=10.0, dt=1e-3)
             traj = integrate(path, GvfParams(k1, k1), cfg)
             times[k1] = convergence_time(traj, 1e-4)

@@ -175,6 +175,11 @@ class TestSpectrumType:
         with pytest.raises(ValueError):
             Spectrum(k=np.array([0]), a=np.array([np.nan + 0j]), n_samples=4)
 
+    def test_stack_of_coefficients_rejected(self):
+        # a stack of curves is a TrigPath; a spectrum is one curve
+        with pytest.raises(ValueError, match="1-D"):
+            Spectrum(k=np.array([0, 1]), a=np.ones((2, 2), dtype=complex), n_samples=4)
+
 
 def test_csv_export_round_trips():
     spec = dft(random_path(9, seed=21))

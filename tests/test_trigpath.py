@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourierpath import apply_window, dft, make_trig_path, synth_path, trigpath
+from fourierpath import Spectrum, apply_window, dft, synth_path, trigpath
 from fourierpath.trigpath import TrigPath, UniformGrid, write_reconstruction_csv
 
 from conftest import decaying_spectrum, random_path, sparse_spectrum
@@ -20,18 +20,18 @@ def test_unit_epicycle_values(unit_epicycle):
 
 
 def test_dc_term_is_constant():
-    path = make_trig_path(sparse_spectrum(8, {0: 2.0 + 0j}))
+    path = sparse_spectrum(8, {0: 2.0 + 0j})
     assert path.eval(0.3) == pytest.approx((2.0, 0.0))
     assert path.eval_with_deriv(1.7)[2:] == (0.0, 0.0)
 
 
 def test_zero_amplitude_terms_kept():
     spec = sparse_spectrum(8, {0: 0j, 1: 1.0 + 0j, 3: -0.0 - 0.0j})
-    path = make_trig_path(spec)
+    path = spec
     assert np.array_equal(path.k, spec.k)
     assert np.array_equal(np.abs(path.a), [0.0, 1.0, 0.0])
     # a zero term moves no value of the curve or its derivative
-    lone = make_trig_path(sparse_spectrum(8, {1: 1.0 + 0j}))
+    lone = sparse_spectrum(8, {1: 1.0 + 0j})
     th = np.linspace(-7.0, 9.0, 17)
     for got, want in zip(path.eval_with_deriv(th), lone.eval_with_deriv(th)):
         assert np.array_equal(got, want)
@@ -40,7 +40,7 @@ def test_zero_amplitude_terms_kept():
 @pytest.mark.parametrize("n", [16, 17, 256, 757, 758, 1024])
 def test_full_spectrum_interpolates_samples(n):
     ps = random_path(n, seed=n)
-    path = make_trig_path(dft(ps))
+    path = dft(ps)
     th = TWO_PI * np.arange(n) / n
     x, y = path.eval(th)
     assert np.max(np.hypot(x - ps.x, y - ps.y)) < 1e-6
@@ -49,7 +49,7 @@ def test_full_spectrum_interpolates_samples(n):
 def test_windowed_eval_matches_direct_partial_sum():
     spec = dft(random_path(64, seed=5))
     w = apply_window(spec, 12)
-    path = make_trig_path(w)
+    path = w
     th = np.concatenate((TWO_PI * np.arange(64) / 64, [0.123, 2.5, 5.9]))
     c = partial_sum(w.k, w.a, th)
     x, y = path.eval(th)
@@ -62,7 +62,7 @@ def test_array_evaluation_in_blocks(monkeypatch):
     # parameters take seven blocks, the last one partial
     monkeypatch.setattr(trigpath, "_BLOCK_ELEMENTS", 100)
     w = apply_window(dft(random_path(64, seed=6)), 32)
-    path = make_trig_path(w)
+    path = w
     th = np.linspace(-7.0, 9.0, 20).reshape(4, 5)
     c = partial_sum(w.k, w.a, th)
     dc = partial_sum(w.k, 1j * w.k * w.a, th)
@@ -94,7 +94,7 @@ def test_array_point_equals_scalar_point(n_terms):
 
 
 def test_derivative_matches_central_difference():
-    path = make_trig_path(apply_window(decaying_spectrum(128, seed=3), 24))
+    path = apply_window(decaying_spectrum(128, seed=3), 24)
     rng = np.random.default_rng(10)
     h = 1e-6
     for th in rng.uniform(0.0, TWO_PI, 1000):
@@ -108,7 +108,7 @@ def test_derivative_matches_central_difference():
 @settings(max_examples=40, deadline=None)
 @given(theta=st.floats(-50.0, 50.0, allow_nan=False))
 def test_property_periodicity(theta):
-    path = make_trig_path(decaying_spectrum(32, seed=8))
+    path = decaying_spectrum(32, seed=8)
     a = np.array(path.eval(theta))
     b = np.array(path.eval(theta + TWO_PI))
     assert np.max(np.abs(a - b)) < 1e-12
@@ -118,9 +118,9 @@ def test_truncation_error_is_monotone_on_clean_data():
     from fourierpath import reconstruction_mse
 
     spec = decaying_spectrum(64, seed=4)
-    truth = make_trig_path(spec)
+    truth = spec
     errors = [
-        reconstruction_mse(truth, make_trig_path(apply_window(spec, m)))
+        reconstruction_mse(truth, apply_window(spec, m))
         for m in range(1, 65)
     ]
     assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
@@ -146,7 +146,7 @@ def test_negative_real_coefficient_ignores_the_sign_of_its_zero_imaginary_part()
 
 
 def test_stack_pairs_parameter_r_with_curve_r():
-    curves = [make_trig_path(apply_window(decaying_spectrum(64, seed=s), 20)) for s in (1, 2, 3)]
+    curves = [apply_window(decaying_spectrum(64, seed=s), 20) for s in (1, 2, 3)]
     stack = TrigPath(curves[0].k, np.stack([c.a for c in curves]))
     th = np.array([0.3, -2.0, 40.0])
     point, both = stack.eval(th), stack.eval_with_deriv(th)
@@ -163,7 +163,7 @@ def test_stack_pairs_parameter_r_with_curve_r():
 
 
 def test_reconstruction_csv_export():
-    path = make_trig_path(dft(synth_path("circle", 16, [1.0])))
+    path = dft(synth_path("circle", 16, [1.0]))
     buf = io.StringIO()
     write_reconstruction_csv(path, buf, samples=16)
     lines = buf.getvalue().strip().splitlines()
@@ -191,7 +191,7 @@ def test_grid_evaluation_folds_terms_modulo_the_sample_count(samples):
     # K = 25 terms: sample counts below K alias terms onto one bin, 25 is
     # K itself, and 7, 509 and 1031 are primes, transformed by the chirp
     w = apply_window(decaying_spectrum(64, seed=11, base=0.9), 24)
-    _assert_grid_matches(make_trig_path(w), samples, w.k, w.a)
+    _assert_grid_matches(w, samples, w.k, w.a)
 
 
 @pytest.mark.parametrize("n", [16, 758, 2062])
@@ -199,7 +199,7 @@ def test_grid_evaluation_keeps_the_plus_half_term_of_an_even_spectrum(n):
     data = random_path(n, seed=n)
     spec = dft(data)
     assert spec.k[-1] == n // 2
-    path = make_trig_path(spec)
+    path = spec
     for samples in (n // 2, n, 2 * n + 1):
         _assert_grid_matches(path, samples, spec.k, spec.a)
     # on the sample grid the full curve passes through the data
@@ -209,8 +209,8 @@ def test_grid_evaluation_keeps_the_plus_half_term_of_an_even_spectrum(n):
 
 def test_grid_evaluation_ignores_zero_amplitude_terms():
     spec = sparse_spectrum(8, {-3: 0j, 0: 0.5 + 0j, 1: 1.0 - 2.0j, 3: -0.0 - 0.0j})
-    path = make_trig_path(spec)
-    lone = make_trig_path(sparse_spectrum(8, {0: 0.5 + 0j, 1: 1.0 - 2.0j}))
+    path = spec
+    lone = sparse_spectrum(8, {0: 0.5 + 0j, 1: 1.0 - 2.0j})
     for samples in (1, 3, 6, 8, 13):
         _assert_grid_matches(path, samples, spec.k, spec.a)
         for got, want in zip(path.eval(UniformGrid(samples)), lone.eval(UniformGrid(samples))):
@@ -218,7 +218,7 @@ def test_grid_evaluation_ignores_zero_amplitude_terms():
 
 
 def test_grid_is_refused_by_a_stack_and_by_the_derivative():
-    curves = [make_trig_path(apply_window(decaying_spectrum(32, seed=s), 8)) for s in (1, 2)]
+    curves = [apply_window(decaying_spectrum(32, seed=s), 8) for s in (1, 2)]
     stack = TrigPath(curves[0].k, np.stack([c.a for c in curves]))
     with pytest.raises(ValueError, match="stack"):
         stack.eval(UniformGrid(16))
@@ -239,20 +239,37 @@ def test_grid_parameters_are_the_uniform_ones():
 
 def test_complex_coefficients_are_kept_read_only():
     w = apply_window(decaying_spectrum(32, seed=9), 10)
-    path = make_trig_path(w)
+    path = w
     assert not path.a.flags.writeable
     stack = TrigPath(path.k, np.stack((path.a, path.a)))
     assert stack.a.shape == (2, path.n_terms)
     assert not stack.a.flags.writeable
 
 
+@pytest.mark.parametrize("cls, extra", [(TrigPath, {}), (Spectrum, {"n_samples": 8})],
+                         ids=["TrigPath", "Spectrum"])
+def test_construction_leaves_the_callers_arrays_writable(cls, extra):
+    k, a = np.arange(3), np.ones(3, dtype=np.complex128)
+    curve = cls(k, a, **extra)
+    k[0], a[0] = -1, 2.0
+    assert curve.k.tolist() == [0, 1, 2] and curve.a.tolist() == [1.0, 1.0, 1.0]
+    assert not curve.k.flags.writeable and not curve.a.flags.writeable
+
+
 @pytest.mark.parametrize("n, m", [(32, 10), (758, 100), (758, 758), (2062, 2062)])
 def test_curve_holds_the_spectrum_coefficients_bit_for_bit(n, m):
-    w = apply_window(dft(random_path(n, seed=n)), m)
-    path = make_trig_path(w)
-    assert path.a.dtype == np.complex128
-    assert path.a.tobytes() == w.a.tobytes()
-    other = make_trig_path(apply_window(dft(random_path(n, seed=n + 1)), m))
-    stack = TrigPath(path.k, np.stack((other.a, path.a, other.a)))
-    assert stack.a[1].tobytes() == path.a.tobytes()
+    # a spectrum is its curve: it evaluates exactly as the curve of its terms
+    spec = dft(random_path(n, seed=n))
+    assert isinstance(spec, TrigPath)
+    w = apply_window(spec, m)
+    plain = TrigPath(w.k, w.a)
+    assert plain.a.tobytes() == w.a.tobytes()
+    assert w.eval_with_deriv(0.3) == plain.eval_with_deriv(0.3)
+    th = np.linspace(-7.0, 9.0, 17)
+    for theta in (th, UniformGrid(n)):
+        for got, want in zip(w.eval(theta), plain.eval(theta)):
+            assert np.array_equal(got, want)
+    other = apply_window(dft(random_path(n, seed=n + 1)), m)
+    stack = TrigPath(w.k, np.stack((other.a, w.a, other.a)))
+    assert stack.a[1].tobytes() == w.a.tobytes()
     assert stack.a[0].tobytes() == other.a.tobytes()
