@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 import typing
 from pathlib import Path
@@ -29,8 +30,17 @@ class CliError(Exception):
     pass
 
 
-def _setting(default, help_text: str):
-    return dataclasses.field(default=default, metadata={"help": help_text})
+def _setting(default, help_text: str, at_least=-math.inf, at_most=math.inf):
+    """A setting's field; a declared range (finite, for a float) is checked and put in --help."""
+    ends = [f"{op} {b:g}" for op, b in ((">=", at_least), ("<=", at_most)) if abs(b) < math.inf]
+    bound = ("finite and " if ends and isinstance(default, float) else "") + " and ".join(ends)
+    return dataclasses.field(default=default, metadata={
+        "help": f"{help_text} ({bound})" if bound else help_text,
+        "bound": bound, "at_least": at_least, "at_most": at_most})
+
+
+# the integrator stops past this range, so a start there cannot take one step
+_START = (-sim._DIVERGENCE_LIMIT, sim._DIVERGENCE_LIMIT)
 
 
 @dataclasses.dataclass
@@ -48,17 +58,19 @@ class RunConfig:
     window_max: int | None = _setting(None, "largest width tried; default N")
     k1: float = _setting(1.0, "field gain k1")
     k2: float = _setting(1.0, "field gain k2")
-    x0: float = _setting(0.0, "initial x")
-    y0: float = _setting(0.0, "initial y")
-    theta0: float = _setting(0.0, "initial path parameter")
+    x0: float = _setting(0.0, "initial x", *_START)
+    y0: float = _setting(0.0, "initial y", *_START)
+    theta0: float = _setting(0.0, "initial path parameter", *_START)
     duration: float = _setting(20.0, "simulated horizon")
     dt: float = _setting(1e-3, "integration step")
-    runs: int = _setting(20, "Monte-Carlo runs")
+    # a guard rail like the step count's: a longer seed list or table cannot
+    # be allocated, and that would only show after the out dir is made
+    runs: int = _setting(20, "Monte-Carlo runs", 1, 10**8)
     out_dir: str = _setting("out", "output directory")
     m_list: str | None = _setting(None, "comma list of widths, 'full' allowed")
-    samples: int = _setting(1024, "curve samples per exported reconstruction")
-    stride: int = _setting(1, "keep every stride-th trajectory row")
-    conv_tol: float = _setting(1e-4, "offset tolerance for the convergence-time summary")
+    samples: int = _setting(1024, "curve samples per exported reconstruction", 2, 10**8)
+    stride: int = _setting(1, "keep every stride-th trajectory row", at_least=1)
+    conv_tol: float = _setting(1e-4, "offset tolerance for the convergence-time summary", 0.0)
 
 
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
@@ -131,14 +143,7 @@ def _cmd_simulate(cfg: RunConfig, clean: pathdata.PathSamples, out: Path) -> Non
 def _cmd_certify(cfg: RunConfig, clean: pathdata.PathSamples, out: Path) -> None:
     clean_spec = spectrum.dft(clean)
     m = _window_width(clean_spec, cfg)
-    report = analysis.certify(
-        clean,
-        _noise(cfg),
-        m,
-        _params(cfg),
-        _sim_config(cfg),
-        cfg.runs,
-    )
+    report = analysis.certify(clean, _noise(cfg), m, _params(cfg), _sim_config(cfg), cfg.runs)
     _write_sweep_csv(out / "sweep.csv", clean_spec, cfg)
     with open(out / "report.json", "w", newline="\n") as fh:
         json.dump(_report_dict(report), fh, indent=2, sort_keys=True)
@@ -183,7 +188,13 @@ COMMANDS = {
 # plumbing
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as a :class:`CliError`, not a usage dump."""
+    """Reports a bad command line as a :class:`CliError`, not a usage dump, and
+    reads ``-1e-3`` or ``-inf`` as a value, where argparse takes it for a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"-(\d*\.?\d+(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")
@@ -266,23 +277,12 @@ def _check_options(cfg: RunConfig) -> None:
         raise CliError("give exactly one of --input or --synth")
     if cfg.window_auto and cfg.window_m is not None:
         raise CliError("give at most one of --window-m or --window-auto")
-    for flag, value, least in (("--stride", cfg.stride, 1), ("--samples", cfg.samples, 2),
-                               ("--runs", cfg.runs, 1)):
-        if value < least:
-            raise CliError(f"{flag} must be >= {least}, got {value}")
-    # like the step count's guard rail: a larger table or seed list cannot
-    # be allocated, and that would only show after the out dir is made
-    for flag, value in (("--samples", cfg.samples), ("--runs", cfg.runs)):
-        if value > 1e8:
-            raise CliError(f"{flag} exceeds the 1e8 guard rail, got {value}")
-    if not (math.isfinite(cfg.conv_tol) and cfg.conv_tol >= 0):
-        raise CliError(f"--conv-tol must be finite and >= 0, got {cfg.conv_tol}")
-    # the integrator stops once a coordinate leaves this bound, so a start
-    # beyond it cannot take one step, whatever --dt is
-    for flag, value in (("--x0", cfg.x0), ("--y0", cfg.y0), ("--theta0", cfg.theta0)):
-        if not abs(value) <= sim._DIVERGENCE_LIMIT:
-            raise CliError(f"{flag} must be finite and at most "
-                           f"{sim._DIVERGENCE_LIMIT:g} in magnitude, got {value}")
+    # exact comparisons: an int too large for a float is refused, not converted
+    for f in dataclasses.fields(cfg):
+        value, meta = getattr(cfg, f.name), f.metadata
+        if meta.get("bound") and not (meta["at_least"] <= value <= meta["at_most"]
+                                      and abs(value) < math.inf):
+            raise CliError(f"--{f.name.replace('_', '-')} must be {meta['bound']}, got {value}")
     # the constructors validate their own fields
     _noise(cfg)
     _params(cfg)

@@ -62,11 +62,15 @@ class TrigPath:
     ``a`` is (K,) for one curve, or (R, K) for a stack of R curves.  Both
     arrays are read-only copies of the caller's.  The polar tables the
     pointwise sums run on, amplitudes ``|a|`` and phases in (-pi, pi], are
-    derived from ``a`` once.
+    derived from ``a`` once, on first pointwise use.
     """
 
     k: np.ndarray
     a: np.ndarray
+    # the polar tables: None until the first pointwise evaluation derives
+    # them into the instance __dict__, where the step loop reads them as
+    # plain attributes
+    _amp = _phase = _kamp = None
 
     def __post_init__(self):
         k = np.array(self.k, dtype=np.int64)
@@ -75,14 +79,18 @@ class TrigPath:
             raise ValueError("k must be 1-D, and a a (K,) or (R, K) array over its K terms")
         if not np.all(np.isfinite(a)):
             raise ValueError("coefficients must be finite")
-        amp = np.abs(a)
-        phase = np.angle(a)
+        for name, arr in (("k", k), ("a", a)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def _derive_polar_tables(self):
+        amp = np.abs(self.a)
+        phase = np.angle(self.a)
         # angle() returns -pi for a negative real part with a -0.0 imaginary
         # part; fold that onto +pi to keep phases in (-pi, pi].
         phase = np.where(phase <= -np.pi, phase + TWO_PI, phase)
-        kamp = (k * amp).astype(np.float64)
-        for name, arr in (("k", k), ("a", a), ("_amp", amp), ("_phase", phase),
-                          ("_kamp", kamp)):
+        kamp = (self.k * amp).astype(np.float64)
+        for name, arr in (("_amp", amp), ("_phase", phase), ("_kamp", kamp)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -122,6 +130,8 @@ class TrigPath:
         of R curves takes R parameters, one per curve, in one table the
         size of its coefficients.
         """
+        if self._phase is None:
+            self._derive_polar_tables()
         th = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI)
         if self.a.ndim == 2:
             if th.shape != self.a.shape[:1]:

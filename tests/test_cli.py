@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -216,6 +217,10 @@ class TestSimulate:
          "--duration", "0.01", "--dt", "0.001"],
         # more samples than the sample-count guard rail allows
         ["sweep", "--synth", f"circle,{pathdata._SAMPLE_LIMIT + 1}"],
+        # a bounded float setting must be finite
+        ["simulate", "--synth", "circle,64", "--conv-tol", "inf"],
+        ["simulate", "--synth", "circle,64", "--conv-tol", "nan"],
+        ["certify", "--synth", "circle,64", "--y0", "-inf"],
     ])
     def test_bad_output_option_fails_before_any_output(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -241,6 +246,7 @@ class TestSimulate:
         (["certify", "--synth", "circle,16", "--sigma2", "1e13", "--runs", "1",
           "--duration", "0.01", "--dt", "0.001"], "--sigma2"),
         (["sweep", "--synth", f"circle,{pathdata._SAMPLE_LIMIT + 1}"], "--synth"),
+        (["simulate", "--synth", "circle,64", "--x0", "-1e13"], "--x0"),
     ])
     def test_error_names_the_flag(self, tmp_path, capsys, args, flag):
         assert run(args + ["--out-dir", tmp_path / "out"]) == 1
@@ -284,6 +290,34 @@ class TestSimulate:
             run(["simulate", "--help"])
         assert exc.value.code == 0
         assert "--window-m" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,texts", [
+        ("simulate", ["--stride STRIDE keep every stride-th trajectory row (>= 1)",
+                      "--conv-tol CONV_TOL offset tolerance for the convergence-time summary "
+                      "(finite and >= 0)",
+                      "--x0 X0 initial x (finite and >= -1e+12 and <= 1e+12)",
+                      "--y0 Y0 initial y (finite and >= -1e+12 and <= 1e+12)",
+                      "--theta0 THETA0 initial path parameter (finite and >= -1e+12 and <= 1e+12)",
+                      # a setting with no declared range gets no suffix
+                      "--dt DT integration step --out-dir"]),
+        ("reconstruct", ["--samples SAMPLES curve samples per exported reconstruction "
+                         "(>= 2 and <= 1e+08)"]),
+        ("certify", ["--runs RUNS Monte-Carlo runs (>= 1 and <= 1e+08)"]),
+    ])
+    def test_help_prints_each_declared_bound(self, capsys, command, texts):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for expected in texts:
+            assert expected in text
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E2", "-.5e1", "-1e12", "-inf"])
+    def test_negative_number_in_exponent_form_is_a_flag_value(self, tmp_path, value):
+        args = cli._build_parser().parse_args(["simulate", "--x0", value, "--theta0", value])
+        assert args.x0 == args.theta0 == float(value)
+        if value != "-inf":
+            assert run(["simulate", "--synth", "circle,16", "--x0", value, "--duration", "0.01",
+                        "--dt", "0.01", "--out-dir", tmp_path / "out"]) == 0
 
     def test_absurd_step_fails_with_context(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -491,7 +525,7 @@ def test_memory_error_ends_in_one_error_line(tmp_path, capsys, monkeypatch):
 # tokens tried for every flag, then the valid ones of each setting; the
 # valid horizons, steps and run counts keep a run under 300 RK4 steps
 _FUZZ_TOKENS = ("nan", "inf", "-1", "0", "1e309", "", "abc", str(10**30), str(2**64),
-                "1e200")
+                "1e200", "-1e-3", "-1e12")
 _FUZZ_VALID = {
     "input": ("data.csv",), "synth": ("circle,16", "lissajous,12,3,2"),
     "sigma1": ("0.1",), "sigma2": ("0.1",), "seed": ("7", str(2**64 - 1)),
@@ -594,6 +628,106 @@ def test_fuzzed_config_file_exits_cleanly(data):
             assert code == 1
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
             assert "state diverged" in err.getvalue() or not (tmp / "out").exists()
+
+
+# every declared range, pinned, so a bound dropped from its RunConfig field fails
+_BOUNDS = {"stride": (1, math.inf), "samples": (2, 10**8), "runs": (1, 10**8),
+           "conv_tol": (0.0, math.inf), "x0": (-1e12, 1e12), "y0": (-1e12, 1e12),
+           "theta0": (-1e12, 1e12)}
+
+
+def _edges():
+    """(command, setting, at_least, at_most, end) for each finite end of each
+    declared range, on every command that takes the setting."""
+    return [(command, f.name, f.metadata["at_least"], f.metadata["at_most"], end)
+            for f in dataclasses.fields(cli.RunConfig) if f.metadata.get("bound")
+            for command, (_, names, _) in cli.COMMANDS.items() if f.name in names
+            for end in ("at_least", "at_most") if abs(f.metadata[end]) < math.inf]
+
+
+def _past(name, bound, end):
+    """The next value of a setting past ``bound``: one integer, or one float step."""
+    outward = -1 if end == "at_least" else 1
+    if cli._FIELD_TYPES[name] is int:
+        return bound + outward
+    return float(np.nextafter(bound, outward * math.inf))
+
+
+def _values(name, lo, hi, finite=True):
+    """A strategy for the values of a setting in [lo, hi]; an infinite end is open."""
+    lo, hi = (None if abs(end) == math.inf else end for end in (lo, hi))
+    if cli._FIELD_TYPES[name] is int:
+        return st.integers(lo, hi)
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=not finite)
+
+
+def _check_alone(command, name, value):
+    """The check made before any data is read, of a config that sets only ``name``."""
+    cli._check_options(cli.RunConfig(command, synth="circle,16", **{name: value}))
+
+
+def _assert_refused(command, name, value, as_key):
+    """``value`` for ``name``, as a flag or a config key, ends in exit 1 and
+    one error line naming the flag, before any output."""
+    flag = "--" + name.replace("_", "-")
+    # refused without data first: were the bound missing, main would start
+    # a run of up to 1e8 runs or samples
+    with pytest.raises(cli.CliError, match=f"^{flag} must be "):
+        _check_alone(command, name, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        args = [command, "--synth", "circle,16", "--out-dir", str(tmp / "out")]
+        if as_key:
+            (tmp / "config.json").write_text(json.dumps({name: value}))
+            args += ["--config", str(tmp / "config.json")]
+        else:
+            args += [flag, repr(value)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(args) == 1
+        assert err.getvalue().startswith(f"error: {flag} must be ")
+        assert err.getvalue().count("\n") == 1
+        assert not (tmp / "out").exists()
+
+
+def test_declared_bounds_are_pinned():
+    assert {name: (lo, hi) for _, name, lo, hi, _ in _edges()} == _BOUNDS
+
+
+def test_readme_range_table_matches_the_declarations():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = text.split("| setting | range |\n| --- | --- |\n")[1].split("\n\n")[0]
+    table = {flag: row.split("|")[2].strip()
+             for row in rows.splitlines() for flag in row.split("`")[1].split()}
+    assert table == {"--" + f.name.replace("_", "-"): f.metadata["bound"]
+                     for f in dataclasses.fields(cli.RunConfig) if f.metadata.get("bound")}
+
+
+@pytest.mark.parametrize("as_key", [False, True], ids=["flag", "config-key"])
+@pytest.mark.parametrize("command,name,lo,hi,end", _edges(),
+                         ids=[f"{c}-{n}-{e}" for c, n, _, _, e in _edges()])
+def test_every_declared_bound_holds_at_its_edge(command, name, lo, hi, end, as_key):
+    # the bound passes the check made before any data is read, and the next
+    # value past it is refused
+    bound = lo if end == "at_least" else hi
+    _check_alone(command, name, bound)
+    _assert_refused(command, name, _past(name, bound, end), as_key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_value_past_a_declared_bound_is_refused(data):
+    # any value within a setting's range passes the check made before any
+    # data is read; any value past it, NaN and infinities included, is refused
+    command, name, lo, hi, end = data.draw(st.sampled_from(_edges()))
+    _check_alone(command, name, data.draw(_values(name, lo, hi)))
+    if end == "at_least":
+        past = _values(name, -math.inf, _past(name, lo, end), finite=False)
+    else:
+        past = _values(name, _past(name, hi, end), math.inf, finite=False)
+    if cli._FIELD_TYPES[name] is float:
+        past |= st.just(math.nan)
+    _assert_refused(command, name, data.draw(past), data.draw(st.booleans()))
 
 
 def test_every_config_field_is_a_flag_and_every_flag_a_field():

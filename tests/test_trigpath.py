@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourierpath import Spectrum, apply_window, dft, synth_path, trigpath
+from fourierpath import (Spectrum, apply_window, dft, reconstruction_mse, synth_path, tail_energy,
+                         trigpath)
 from fourierpath.trigpath import TrigPath, UniformGrid, write_reconstruction_csv
 
 from conftest import decaying_spectrum, random_path, sparse_spectrum
@@ -244,6 +245,22 @@ def test_complex_coefficients_are_kept_read_only():
     stack = TrigPath(path.k, np.stack((path.a, path.a)))
     assert stack.a.shape == (2, path.n_terms)
     assert not stack.a.flags.writeable
+
+
+def test_polar_tables_are_built_only_on_pointwise_use():
+    spec = dft(random_path(64, seed=4))
+    w = apply_window(spec, 10)
+    spec.eval(UniformGrid(64))
+    w.eval(UniformGrid(33))
+    tail_energy(spec, np.arange(1, 65))
+    reconstruction_mse(spec, w)
+    tables = {"_amp", "_phase", "_kamp"}
+    assert not tables & set(vars(spec)) and not tables & set(vars(w))
+    # once built they are held by the curve, read-only, for every later call
+    w.eval_with_deriv(0.3)
+    assert tables <= set(vars(w)) and not tables & set(vars(spec))
+    assert all(not vars(w)[name].flags.writeable for name in tables)
+    assert w._amp is vars(w)["_amp"]
 
 
 @pytest.mark.parametrize("cls, extra", [(TrigPath, {}), (Spectrum, {"n_samples": 8})],
