@@ -80,19 +80,18 @@ class NonSingularityReport:
 
 
 def _field_terms(path: TrigPath, x, y, theta, params: GvfParams):
-    """Offsets, their theta-derivatives and the field components.
+    """Offsets, curve tangent and field: ``(phi1, phi2, dxdt, dydt, (cx, cy, ct))``.
 
-    Broadcasts over array inputs; returns plain floats for scalar inputs.
+    d(phi)/dth is minus the tangent, so with u = k*phi the field is
+    (dxdt - u1, dydt - u2, 1 + u1*dxdt + u2*dydt).  Broadcasts over array
+    inputs; returns plain floats for scalar inputs.
     """
     px, py, dxdt, dydt = path.eval_with_deriv(theta)
     phi1 = x - px
     phi2 = y - py
-    dphi1 = -dxdt
-    dphi2 = -dydt
-    cx = -dphi1 - params.k1 * phi1
-    cy = -dphi2 - params.k2 * phi2
-    ct = 1.0 - params.k1 * phi1 * dphi1 - params.k2 * phi2 * dphi2
-    return phi1, phi2, dphi1, dphi2, cx, cy, ct
+    u1 = params.k1 * phi1
+    u2 = params.k2 * phi2
+    return phi1, phi2, dxdt, dydt, (dxdt - u1, dydt - u2, 1.0 + u1 * dxdt + u2 * dydt)
 
 
 def lyapunov_rate(path: TrigPath, state: FieldState, params: GvfParams) -> float:
@@ -100,12 +99,12 @@ def lyapunov_rate(path: TrigPath, state: FieldState, params: GvfParams) -> float
 
     Computed as grad(V1) . chi; it is <= 0 up to rounding at every state.
     """
-    phi1, phi2, dphi1, dphi2, cx, cy, ct = _field_terms(
+    phi1, phi2, dxdt, dydt, (cx, cy, ct) = _field_terms(
         path, state.x, state.y, state.theta, params
     )
     gx = 2.0 * params.k1 * phi1
     gy = 2.0 * params.k2 * phi2
-    gth = 2.0 * (params.k1 * phi1 * dphi1 + params.k2 * phi2 * dphi2)
+    gth = -2.0 * (params.k1 * phi1 * dxdt + params.k2 * phi2 * dydt)
     return float(gx * cx + gy * cy + gth * ct)
 
 
@@ -120,7 +119,7 @@ def verify_nonsingular(
 
     ``box`` is ((x_lo, x_hi), (y_lo, y_hi), (theta_lo, theta_hi)).  Besides
     the uniform samples, for every sampled theta the planar point where the
-    first two field components vanish exactly is also checked, so the
+    first two field components vanish (up to rounding) is also checked, so the
     vanishing-row condition (third component >= 1) is genuinely exercised
     rather than only at states random sampling never hits.  A state counts
     toward that check when both planar components are below
@@ -139,15 +138,15 @@ def verify_nonsingular(
     ths = rng.uniform(tlo, thi, samples)
 
     report = NonSingularityReport(samples=samples, min_field_norm=math.inf)
-    _scan_states(path, params, xs, ys, ths, report)
-    # companion states with exactly vanishing planar rows
-    px, py, dxdt, dydt = path.eval_with_deriv(ths)
-    _scan_states(path, params, px + dxdt / params.k1, py + dydt / params.k2, ths, report)
+    cx, cy, _ = _scan_states(path, params, xs, ys, ths, report)
+    # companion states: moving x by cx/k1 and y by cy/k2 zeroes the planar rows
+    _scan_states(path, params, xs + cx / params.k1, ys + cy / params.k2, ths, report)
     return report
 
 
 def _scan_states(path, params, xs, ys, ths, report):
-    _, _, _, _, cx, cy, ct = _field_terms(path, xs, ys, ths, params)
+    """Record the field's norms and vanishing rows at the states; returns the field."""
+    cx, cy, ct = chi = _field_terms(path, xs, ys, ths, params)[4]
     norm = np.sqrt(cx * cx + cy * cy + ct * ct)
     report.min_field_norm = min(report.min_field_norm, float(norm.min()))
     for i in np.nonzero(norm == 0.0)[0]:
@@ -156,3 +155,4 @@ def _scan_states(path, params, xs, ys, ths, report):
     report.certificate_states += int(np.count_nonzero(near))
     for i in np.nonzero(near & (ct < THIRD_COMPONENT_FLOOR))[0]:
         report.certificate_failures.append(FieldState(xs[i], ys[i], ths[i]))
+    return chi

@@ -126,17 +126,16 @@ def integrate(
     s[0], s[1], s[2] = cfg.eta0.x, cfg.eta0.y, cfg.eta0.theta
 
     def rhs(state):
-        _, _, _, _, cx, cy, ct = _field_terms(path, state[0], state[1], state[2], params)
-        return np.array((cx, cy, ct))
+        return np.array(_field_terms(path, state[0], state[1], state[2], params)[4])
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps + 1):
-            phi1, phi2, _, _, cx, cy, ct = _field_terms(path, s[0], s[1], s[2], params)
+            phi1, phi2, _, _, chi = _field_terms(path, s[0], s[1], s[2], params)
             rows[i] = (s[0], s[1], s[2], phi1, phi2)
             if i == n_steps:
                 break
 
-            f1 = np.array((cx, cy, ct))
+            f1 = np.array(chi)
             f2 = rhs(s + 0.5 * dt * f1)
             f3 = rhs(s + 0.5 * dt * f2)
             f4 = rhs(s + dt * f3)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -221,6 +222,9 @@ class TestSimulate:
         ["simulate", "--synth", "circle,64", "--conv-tol", "inf"],
         ["simulate", "--synth", "circle,64", "--conv-tol", "nan"],
         ["certify", "--synth", "circle,64", "--y0", "-inf"],
+        # a width listed twice would be computed and written twice
+        ["reconstruct", "--synth", "circle,8", "--m-list", "full,full"],
+        ["reconstruct", "--synth", "circle,8", "--m-list", "3,3"],
     ])
     def test_bad_output_option_fails_before_any_output(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -251,6 +255,13 @@ class TestSimulate:
     def test_error_names_the_flag(self, tmp_path, capsys, args, flag):
         assert run(args + ["--out-dir", tmp_path / "out"]) == 1
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m_list,width", [("full,full", "full"), ("3, 3", "3"),
+                                              ("3,full,03", "3")])
+    def test_repeated_m_list_width_is_named(self, tmp_path, capsys, m_list, width):
+        assert run(["reconstruct", "--synth", "circle,16", "--m-list", m_list,
+                    "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == f"error: --m-list: width {width} is repeated\n"
 
     @pytest.mark.parametrize("command,text,line", [
         ("transform", "1e306,0\n-1e306,0\n0,1e306\n0,-1e306\n", 1),
@@ -301,8 +312,8 @@ class TestSimulate:
                       # a setting with no declared range gets no suffix
                       "--dt DT integration step --out-dir"]),
         ("reconstruct", ["--samples SAMPLES curve samples per exported reconstruction "
-                         "(>= 2 and <= 1e+08)"]),
-        ("certify", ["--runs RUNS Monte-Carlo runs (>= 1 and <= 1e+08)"]),
+                         "(>= 2 and <= 6e+06)"]),
+        ("certify", ["--runs RUNS Monte-Carlo runs (>= 1 and <= 2e+07)"]),
     ])
     def test_help_prints_each_declared_bound(self, capsys, command, texts):
         with pytest.raises(SystemExit):
@@ -631,7 +642,7 @@ def test_fuzzed_config_file_exits_cleanly(data):
 
 
 # every declared range, pinned, so a bound dropped from its RunConfig field fails
-_BOUNDS = {"stride": (1, math.inf), "samples": (2, 10**8), "runs": (1, 10**8),
+_BOUNDS = {"stride": (1, math.inf), "samples": (2, 6 * 10**6), "runs": (1, 2 * 10**7),
            "conv_tol": (0.0, math.inf), "x0": (-1e12, 1e12), "y0": (-1e12, 1e12),
            "theta0": (-1e12, 1e12)}
 
@@ -701,6 +712,30 @@ def test_readme_range_table_matches_the_declarations():
              for row in rows.splitlines() for flag in row.split("`")[1].split()}
     assert table == {"--" + f.name.replace("_", "-"): f.metadata["bound"]
                      for f in dataclasses.fields(cli.RunConfig) if f.metadata.get("bound")}
+
+
+def _readme_commands():
+    """The arguments of every ``fourierpath`` command in README's sh blocks, with
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("```")[0] for part in text.split("```sh\n")[1:]]
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("fourierpath ")]
+
+
+def test_readme_shows_every_command():
+    assert sorted(argv[0] for argv in _readme_commands()) == sorted(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_example_passes_the_checks_made_before_data(argv):
+    # nothing runs: a renamed flag or a tightened range the README still
+    # shows fails here
+    args, unknown = cli._build_parser().parse_known_args(argv)
+    assert unknown == []
+    cfg = cli._resolve_config(args)
+    cli._check_options(cfg)
+    cli._widths(cfg)
 
 
 @pytest.mark.parametrize("as_key", [False, True], ids=["flag", "config-key"])

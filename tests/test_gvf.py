@@ -11,6 +11,7 @@ from fourierpath import (
     verify_nonsingular,
 )
 from fourierpath.gvf import _field_terms
+from fourierpath.trigpath import TrigPath
 
 from conftest import decaying_spectrum, sparse_spectrum
 
@@ -32,7 +33,7 @@ def _offsets(path, x, y, theta):
 
 
 def _field(path, x, y, theta, params=UNIT):
-    return np.array(_field_terms(path, x, y, theta, params)[4:])
+    return np.array(_field_terms(path, x, y, theta, params)[4])
 
 
 def _v1(path, x, y, theta, params):
@@ -87,9 +88,10 @@ class TestChi:
             p1m, p2m = _offsets(path, x, y, th - h)
             fd1 = (p1p - p1m) / (2 * h)
             fd2 = (p2p - p2m) / (2 * h)
-            _, _, dphi1, dphi2, _, _, _ = _field_terms(path, x, y, th, UNIT)
-            assert fd1 == pytest.approx(dphi1, abs=1e-5)
-            assert fd2 == pytest.approx(dphi2, abs=1e-5)
+            # d(phi)/dth is minus the curve tangent
+            _, _, dxdt, dydt, _ = _field_terms(path, x, y, th, UNIT)
+            assert fd1 == pytest.approx(-dxdt, abs=1e-5)
+            assert fd2 == pytest.approx(-dydt, abs=1e-5)
 
 
 class TestLyapunovRate:
@@ -143,6 +145,20 @@ class TestVerifyNonsingular:
         assert report.certificate_failures == []
         # companion states make the vanishing-row branch non-vacuous
         assert report.certificate_states >= 20_000
+
+    def test_one_sweep_evaluates_the_curve_twice(self, unit_epicycle, monkeypatch):
+        # once per scan: the companion states are built from the first scan's field
+        calls = []
+        original = TrigPath.eval_with_deriv
+
+        def spy(path, theta):
+            calls.append(np.shape(theta))
+            return original(path, theta)
+
+        monkeypatch.setattr(TrigPath, "eval_with_deriv", spy)
+        report = verify_nonsingular(unit_epicycle, UNIT, self.BOX, 500, rng_seed=0)
+        assert calls == [(500,), (500,)]
+        assert report.certificate_states >= 500
 
     def test_rich_path_sweep_clean(self):
         path = apply_window(decaying_spectrum(758, seed=7), 100)

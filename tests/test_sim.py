@@ -84,7 +84,7 @@ class TestIntegrate:
         assert np.allclose(traj.phi2, phi2, rtol=1e-12, atol=1e-15)
 
         def rhs(s):
-            return np.array(_field_terms(path, *s, params)[4:])
+            return np.array(_field_terms(path, *s, params)[4])
 
         # recompute, from every row but the last, one step to the next row
         s = state[:, :-1]
