@@ -21,6 +21,8 @@ import sys
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, gvf, pathdata, sim, spectrum, trigpath
 
 __all__ = ["main", "RunConfig", "COMMANDS"]
@@ -79,7 +81,10 @@ _FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 def main(argv=None) -> int:
     try:
-        args, unknown = _build_parser().parse_known_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        # a command line naming its command first needs only that command's flags
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        args, unknown = _build_parser(command).parse_known_args(argv)
         if unknown:
             raise CliError(f"fourierpath {args.command}: unrecognized arguments: "
                            + " ".join(unknown))
@@ -201,7 +206,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given ``command``, with only that
+    command's flags added; every command keeps its name and help text."""
     parser = _Parser(
         prog="fourierpath",
         description="Spectral reconstruction and guided path following "
@@ -211,6 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (help_text, settings, _) in COMMANDS.items():
         # a flag left out stays out of the namespace, so RunConfig supplies its default
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        if command not in (None, name):
+            continue
         p.add_argument("--config", help="JSON config file; overrides flags on conflict")
         for f in dataclasses.fields(RunConfig):
             if f.name in settings:
@@ -394,12 +403,12 @@ def _sim_config(cfg: RunConfig) -> sim.SimConfig:
 
 
 def _write_sweep_csv(target: Path, spec: spectrum.Spectrum, cfg: RunConfig) -> None:
-    rows = analysis.window_sweep(spec, cfg.sigma1, cfg.sigma2, _window_max(spec, cfg))
+    (m, bound, _, tail), *rest = analysis.window_sweep(spec, cfg.sigma1, cfg.sigma2,
+                                                       _window_max(spec, cfg))
     with open(target, "w", newline="\n") as fh:
-        fh.write("m,p_bar,f_backward,tail_energy\n")
-        for m, bound, diff, tail in rows:
-            diff_text = "" if diff is None else f"{diff:.17g}"
-            fh.write(f"{m},{bound:.17g},{diff_text},{tail:.17g}\n")
+        # the first width has no backward difference: its field stays empty
+        pathdata.write_table(fh, f"m,p_bar,f_backward,tail_energy\n{m},{bound:.17g},,{tail:.17g}",
+                             np.reshape(rest, (-1, 4)).T)
 
 
 def _report_dict(report: analysis.ErrorReport) -> dict:

@@ -64,7 +64,9 @@ def _combine(subs: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=64)
+# one command transforms at most a few odd lengths (the data's and a
+# reconstruction's), and a table of a large length holds up to 2**21 points
+@functools.lru_cache(maxsize=4)
 def _bluestein_tables(n: int):
     # Chirp b[t] = exp(-1j*pi*t^2/n), with t^2 reduced mod 2n so the
     # angle is computed from a small exact integer.

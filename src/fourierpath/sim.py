@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .gvf import FieldState, GvfParams, _field_terms
+from .pathdata import write_table
 from .trigpath import TrigPath
 
 __all__ = ["IntegrationError", "SimConfig", "Trajectory", "integrate", "convergence_time"]
@@ -85,9 +86,10 @@ class Trajectory:
         a stack of curves has no such table and raises ValueError."""
         if stride < 1:
             raise ValueError("stride must be >= 1")
-        columns = [getattr(self, f.name)[::stride] for f in fields(self)]
-        np.savetxt(fh, np.stack(columns, axis=1), fmt="%.17g", delimiter=",",
-                   header="t,x,y,theta,phi1,phi2,V1,e_inst", comments="")
+        if self.x.ndim != 1:
+            raise ValueError(f"a stack of {self.x.shape[1]} curves has no trajectory table")
+        write_table(fh, "t,x,y,theta,phi1,phi2,V1,e_inst",
+                    [getattr(self, f.name)[::stride] for f in fields(self)])
 
 
 def integrate(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fft import fft
-from .pathdata import PathSamples
+from .pathdata import PathSamples, write_table
 from .trigpath import TrigPath
 
 __all__ = [
@@ -132,5 +132,4 @@ def write_spectrum_csv(spec: Spectrum, fh) -> None:
     """Write ``k,re,im,magnitude`` lines sorted by k ascending; with 17
     significant digits ``k`` prints as an integer, and magnitude is hypot(re, im)."""
     re, im = spec.a.real, spec.a.imag
-    np.savetxt(fh, np.column_stack((spec.k, re, im, np.hypot(re, im))), fmt="%.17g",
-               delimiter=",", header="k,re,im,magnitude", comments="")
+    write_table(fh, "k,re,im,magnitude", (spec.k, re, im, np.hypot(re, im)))

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fft import fft
+from .pathdata import write_table
 
 __all__ = ["TrigPath", "UniformGrid", "write_reconstruction_csv"]
 
@@ -170,5 +171,4 @@ def write_reconstruction_csv(path: TrigPath, fh, samples: int = 1024) -> None:
     if samples < 2:
         raise ValueError("samples must be >= 2")
     grid = UniformGrid(samples)
-    np.savetxt(fh, np.column_stack((grid.theta, *path.eval(grid))), fmt="%.17g",
-               delimiter=",", header="theta,x,y", comments="")
+    write_table(fh, "theta,x,y", (grid.theta, *path.eval(grid)))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -290,6 +291,16 @@ class TestSimulate:
         # a command that does not integrate takes the same data
         assert run(["transform", "--input", data, "--out-dir", out]) == 0
 
+    def test_csv_past_the_sample_limit_is_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pathdata, "_SAMPLE_LIMIT", 3)
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n0,0\n1,0\n1,1\n0,1\n")
+        out = tmp_path / "out"
+        assert run(["transform", "--input", data, "--out-dir", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: the file has more than 3 records, the most a path may have\n")
+        assert not out.exists()
+
     def test_unrecognized_flag_names_the_command(self, tmp_path, capsys):
         assert run(["transform", "--synth", "circle,8", "--window-m", "3",
                     "--out-dir", tmp_path / "out"]) == 1
@@ -301,6 +312,39 @@ class TestSimulate:
             run(["simulate", "--help"])
         assert exc.value.code == 0
         assert "--window-m" in capsys.readouterr().out
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for name, (help_text, _, _) in cli.COMMANDS.items():
+            assert f"{name} {help_text}" in text
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_command_help_lists_exactly_its_settings(self, capsys, command):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+        assert flags == {"--help", "--config",
+                         *("--" + name.replace("_", "-") for name in cli.COMMANDS[command][1])}
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--synth", "circle,8", "transform"],
+                                      ["transform", "--k1", "2", "--synth", "circle,8"],
+                                      ["sweep", "--window-max"]])
+    def test_parser_of_the_named_command_refuses_as_the_full_one(self, capsys, monkeypatch,
+                                                                 argv):
+        # main adds only the flags of a command named first; any other command
+        # line gets the parser of every command
+        full, built = cli._build_parser, []
+        monkeypatch.setattr(cli, "_build_parser",
+                            lambda command=None: built.append(command) or full(command))
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert built == [argv[0] if argv and argv[0] in cli.COMMANDS else None]
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+        assert run(argv) == 1
+        assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize("command,texts", [
         ("simulate", ["--stride STRIDE keep every stride-th trajectory row (>= 1)",
@@ -781,6 +825,18 @@ def test_every_config_field_is_a_flag_and_every_flag_a_field():
     assert set(commands) == set(cli.COMMANDS)
     for name, flags in dests.items():
         assert flags == {"config", *cli.COMMANDS[name][1]}, name
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_parser_of_one_command_adds_only_its_flags(command):
+    # every command keeps its name and help text; only the named one has flags
+    parser = cli._build_parser(command)
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(cli.COMMANDS)
+    for name, p in commands.items():
+        flags = {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
+        assert flags == ({"config", *cli.COMMANDS[name][1]} if name == command else set())
 
 
 def test_module_entry_point(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourierpath.fft import _fft_rows, fft
+from fourierpath.fft import _bluestein_tables, _fft_rows, fft
 
 from oracles import naive_dft
 
@@ -76,6 +76,18 @@ def test_ifft_round_trip(n):
     x = _random_signal(n, 7 * n)
     back = np.fft.ifft(fft(x))
     assert np.max(np.abs(back - x)) < 1e-12
+
+
+def test_chirp_table_cache_holds_a_few_lengths():
+    # a table of a large odd length holds up to 2**21 complex points, so the
+    # cache keeps only the few lengths one command uses; a table evicted and
+    # built again gives the same bits
+    x = _random_signal(379, 1)
+    first = fft(x)
+    for n in range(3, 200, 2):
+        fft(_random_signal(n, n))
+    assert _bluestein_tables.cache_info().currsize <= 4
+    assert fft(x).tobytes() == first.tobytes()
 
 
 def test_rejects_empty_and_2d_input():

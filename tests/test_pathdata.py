@@ -1,8 +1,13 @@
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourierpath import pathdata
 from fourierpath import (NoiseSpec, PathDataError, PathSamples, add_noise, dft, load_path, p_bar,
                          synth_path)
 
@@ -194,3 +199,109 @@ def test_property_noise_deterministic_per_seed(sigma, seed):
     ps = synth_path("circle", 8, [1.0])
     spec = NoiseSpec(sigma, sigma / 2.0, seed)
     assert np.array_equal(add_noise(ps, spec).points, add_noise(ps, spec).points)
+
+
+def _outcome(path):
+    try:
+        return load_path(path).points.tobytes()
+    except PathDataError as exc:
+        return str(exc)
+
+
+class TestBlockwiseReading:
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 4096])
+    @pytest.mark.parametrize("first,later,message", [
+        ("3,3,3", "1e151,0", "line 6: expected 'x,y', got 3 field(s)"),
+        ("1e151,0", "3,3,3", "line 6: coordinates must be finite and at most 1e+150 "
+                             "in magnitude, got '1e151,0'"),
+    ])
+    def test_first_bad_line_wins_across_blocks(self, tmp_path, monkeypatch, block, first,
+                                               later, message):
+        monkeypatch.setattr(pathdata, "_BLOCK_ROWS", block)
+        text = f"x,y\n0,0\n1,1\n\n2,2\n{first}\n4,4\n{later}\n5,5\n"
+        with pytest.raises(PathDataError) as exc:
+            load_path(_csv(tmp_path, text))
+        assert str(exc.value) == message
+
+    def test_more_records_than_the_sample_limit_are_refused(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pathdata, "_SAMPLE_LIMIT", 5)
+        monkeypatch.setattr(pathdata, "_BLOCK_ROWS", 2)
+        assert load_path(_csv(tmp_path, "x,y\n" + "1,2\n" * 5)).n_samples == 5
+        # refused once the blocks read hold more, before the file is read to
+        # its end: the bad line past the limit is never parsed
+        with pytest.raises(PathDataError) as exc:
+            load_path(_csv(tmp_path, "x,y\n" + "1,2\n" * 7 + "1,2,3\n"))
+        assert str(exc.value) == "the file has more than 5 records, the most a path may have"
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(st.sampled_from(
+        ["0,0", " 1.5 , -2 ", "1e150,-1e150", "x,y", "", "  ", "1,2,3", "4", "1,abc",
+         "nan,0", "1e151,0", "\x1f3\x1f,4", "1_0,2", "5\x0c6,7", "8,9\r", "﻿1,2"]),
+        max_size=12),
+        block=st.integers(1, 5))
+    def test_outcome_does_not_depend_on_the_block_size(self, lines, block):
+        # the parsed points, or the error naming the first bad line, are the
+        # same whether the file is read in one block or many
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp) / "path.csv"
+            target.write_text("\n".join(lines), encoding="utf-8", newline="")
+            whole = _outcome(target)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pathdata, "_BLOCK_ROWS", block)
+                assert _outcome(target) == whole
+
+    @settings(max_examples=50, deadline=None)
+    @given(points=st.lists(st.tuples(*[st.floats(-1e150, 1e150)] * 2), min_size=2, max_size=40))
+    def test_written_table_reads_back_exactly(self, points):
+        pts = np.array(points, dtype=np.float64)
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp) / "path.csv"
+            with open(target, "w", newline="\n") as fh:
+                pathdata.write_table(fh, "x,y", (pts[:, 0], pts[:, 1]))
+            # -0.0 and subnormals included
+            assert load_path(target).points.tobytes() == pts.tobytes()
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e150, -1e150, 1 / 3, -2.5, 1e-5]
+
+
+def _savetxt(header, table):
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    return buf.getvalue()
+
+
+class TestWriteTable:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 8), edge=st.sampled_from([-1, 0, 1]),
+           k_column=st.booleans())
+    def test_matches_savetxt_at_the_block_edges(self, data, width, edge, k_column):
+        block = 4
+        rows = block + edge
+        values = st.sampled_from(_SPECIAL) | st.floats(-1e150, 1e150)
+        columns = [np.array(data.draw(st.lists(values, min_size=rows, max_size=rows)))
+                   for _ in range(width)]
+        if k_column:
+            columns[0] = np.array(data.draw(st.lists(st.integers(-2**53, 2**53),
+                                                     min_size=rows, max_size=rows)))
+        header = ",".join(f"c{i}" for i in range(width))
+        buf = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pathdata, "_BLOCK_ROWS", block)
+            pathdata.write_table(buf, header, columns)
+        assert buf.getvalue() == _savetxt(header, np.column_stack(columns))
+
+    @pytest.mark.parametrize("edge", [-1, 0, 1])
+    def test_matches_savetxt_at_the_real_block_size(self, edge):
+        rows = pathdata._BLOCK_ROWS + edge
+        rng = np.random.default_rng(rows)
+        k = np.arange(rows) - rows // 2
+        a = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 150, rows)
+        a[:len(_SPECIAL)] = _SPECIAL
+        buf = io.StringIO()
+        pathdata.write_table(buf, "k,a", (k, a))
+        assert buf.getvalue() == _savetxt("k,a", np.column_stack((k, a)))
+
+    def test_a_column_of_two_dimensions_is_refused(self):
+        with pytest.raises(ValueError, match="1-D"):
+            pathdata.write_table(io.StringIO(), "t,x", (np.arange(3.0), np.ones((3, 2))))

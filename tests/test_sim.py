@@ -238,5 +238,5 @@ def test_stacked_trajectory_has_no_csv_table():
     _, curves = noisy_curves([1, 2], sigma=0.1)
     traj = integrate(stacked(curves), UNIT,
                      SimConfig(FieldState(-1.0, 2.0, 0.0), duration=0.1, dt=1e-2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a stack of 2 curves has no trajectory table"):
         traj.write_csv(io.StringIO())
