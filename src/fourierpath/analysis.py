@@ -170,13 +170,11 @@ def window_sweep(
     sigma1: float,
     sigma2: float,
     m_max: int,
-) -> list[tuple[int, float, float | None, float]]:
-    """Table of (m, p_bar, f_backward, tail_energy) for m in 1..m_max."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (m, p_bar, tail_energy) for m in 1..m_max; the backward
+    differences f_backward are ``np.diff`` of the p_bar column."""
     ms = _widths_up_to(spec, m_max)
-    bounds = p_bar(spec, ms, sigma1, sigma2)
-    diffs = [None, *np.diff(bounds).tolist()]
-    return list(zip(ms.tolist(), bounds.tolist(), diffs,
-                    tail_energy(spec, ms).tolist()))
+    return ms, p_bar(spec, ms, sigma1, sigma2), tail_energy(spec, ms)
 
 
 def certify(
@@ -226,7 +224,8 @@ def certify(
                  for seed in seeds[first:first + batch])
         followed = [apply_window(dft(data), m) for data in noisy]
         # a lone run takes the one-curve loop, whose steps cost less
-        stack = _stack(followed) if len(followed) > 1 else followed[0]
+        stack = (TrigPath(followed[0].k, np.stack([path.a for path in followed]))
+                 if len(followed) > 1 else followed[0])
         try:
             traj = integrate(stack, params, cfg)
         except IntegrationError as exc:
@@ -250,11 +249,6 @@ def certify(
         e_ms_per_run=tuple(e_runs),
         runs=runs,
     )
-
-
-def _stack(paths: list[TrigPath]) -> TrigPath:
-    """The curves, which share one ``k``, as one stack."""
-    return TrigPath(paths[0].k, np.stack([path.a for path in paths]))
 
 
 def _widths_up_to(spec: Spectrum, m_max: int) -> np.ndarray:

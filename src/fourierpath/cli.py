@@ -403,17 +403,16 @@ def _sim_config(cfg: RunConfig) -> sim.SimConfig:
 
 
 def _write_sweep_csv(target: Path, spec: spectrum.Spectrum, cfg: RunConfig) -> None:
-    (m, bound, _, tail), *rest = analysis.window_sweep(spec, cfg.sigma1, cfg.sigma2,
-                                                       _window_max(spec, cfg))
+    m, bound, tail = analysis.window_sweep(spec, cfg.sigma1, cfg.sigma2, _window_max(spec, cfg))
     with open(target, "w", newline="\n") as fh:
         # the first width has no backward difference: its field stays empty
-        pathdata.write_table(fh, f"m,p_bar,f_backward,tail_energy\n{m},{bound:.17g},,{tail:.17g}",
-                             np.reshape(rest, (-1, 4)).T)
+        pathdata.write_table(fh, "m,p_bar,f_backward,tail_energy\n"
+                             f"{m[0]},{bound[0]:.17g},,{tail[0]:.17g}",
+                             (m[1:], bound[1:], np.diff(bound), tail[1:]))
 
 
 def _report_dict(report: analysis.ErrorReport) -> dict:
     data = dataclasses.asdict(report)
-    data["e_ms_per_run"] = list(report.e_ms_per_run)
     data["passed"] = report.passed
     return data
 
@@ -445,7 +444,3 @@ def _named(flag: str, check, *args):
         return check(*args)
     except ValueError as exc:
         raise CliError(f"{flag}: {exc}") from None
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -134,15 +134,13 @@ class TrigPath:
         if self._phase is None:
             self._derive_polar_tables()
         th = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI)
-        if self.a.ndim == 2:
-            if th.shape != self.a.shape[:1]:
-                raise ValueError(f"a stack of {self.a.shape[0]} curves takes "
-                                 f"one parameter per curve, got shape {th.shape}")
+        if self.a.ndim == 2 and th.shape != self.a.shape[:1]:
+            raise ValueError(f"a stack of {self.a.shape[0]} curves takes "
+                             f"one parameter per curve, got shape {th.shape}")
+        if self.a.ndim == 2 or th.ndim == 0:
             w = self._rotations(th)
-            return sums(w.real, w.imag)
-        if th.ndim == 0:
-            w = self._rotations(th)
-            return tuple(map(float, sums(w.real, w.imag)))
+            values = sums(w.real, w.imag)
+            return values if th.ndim else tuple(map(float, values))
         flat = th.ravel()
         rows = max(1, _BLOCK_ELEMENTS // max(1, self.n_terms))
         blocks = []

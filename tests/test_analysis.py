@@ -170,14 +170,16 @@ class TestSelectWindow:
 
     def test_window_sweep_table_is_consistent(self):
         spec = dft(random_path(32, seed=9))
-        rows = window_sweep(spec, 0.1, 0.2, 32)
-        assert [r[0] for r in rows] == list(range(1, 33))
-        assert rows[0][2] is None
-        for m, value, diff, tail in rows:
+        ms, bounds, tails = window_sweep(spec, 0.1, 0.2, 32)
+        assert ms.tolist() == list(range(1, 33))
+        assert bounds.shape == tails.shape == ms.shape
+        for m, value, tail in zip(ms.tolist(), bounds, tails):
             assert value == pytest.approx(p_bar(spec, m, 0.1, 0.2), rel=1e-15)
             assert tail == pytest.approx(tail_energy(spec, m), rel=1e-15)
             if m >= 2:
-                assert diff == pytest.approx(f_backward(spec, m, 0.1, 0.2), abs=1e-15)
+                # the f_backward column sweep.csv writes, np.diff of this one
+                assert value - bounds[m - 2] == pytest.approx(f_backward(spec, m, 0.1, 0.2),
+                                                              abs=1e-15)
 
 
 class TestPassbandNoise:

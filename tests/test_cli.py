@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -62,6 +63,19 @@ class TestTransform:
         code = run(["transform", "--input", tmp_path / "nope.csv", "--out-dir", tmp_path / "o"])
         assert code == 1
         assert "nope.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offset", [6, 20000])
+    def test_byte_that_is_not_utf8_fails_before_any_output(self, tmp_path, capsys, offset):
+        data = bytearray(b"".join(b"%d,%d\n" % (i, i) for i in range(5000)))
+        data[offset] = 0xFF
+        (tmp_path / "d.csv").write_bytes(bytes(data))
+        out = tmp_path / "out"
+        assert run(["transform", "--input", tmp_path / "d.csv", "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff "
+                              f"in position {offset}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -374,6 +388,17 @@ class TestSimulate:
             assert run(["simulate", "--synth", "circle,16", "--x0", value, "--duration", "0.01",
                         "--dt", "0.01", "--out-dir", tmp_path / "out"]) == 0
 
+    @pytest.mark.parametrize("command", ["simulate", "certify"])
+    def test_step_cap_is_admitted_and_one_step_past_it_refused(self, tmp_path, capsys, command):
+        cap = sim._STEP_LIMIT
+        cli._check_options(cli.RunConfig(command, synth="circle,16", duration=cap * 1e-3))
+        out = tmp_path / "out"
+        assert run([command, "--synth", "circle,16", "--duration", repr((cap + 1) * 1e-3),
+                    "--dt", "1e-3", "--out-dir", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: duration/dt must be at most {cap:g}, the most steps a run may take\n")
+        assert not out.exists()
+
     def test_absurd_step_fails_with_context(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run(["simulate", "--synth", "lissajous,758,3,2", "--sigma1", "0.2",
@@ -464,6 +489,13 @@ class TestConfigFile:
         # only the settings transform reads are echoed
         assert set(resolved) == {"command", "input", "synth", "sigma1", "sigma2",
                                  "seed", "out_dir"}
+
+    def test_missing_file_is_named(self, tmp_path, capsys):
+        source, out = tmp_path / "absent.json", tmp_path / "out"
+        assert run(["transform", "--synth", "circle,8", "--config", source,
+                    "--out-dir", out]) == 1
+        assert capsys.readouterr().err == f"error: config file not found: {source}\n"
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -855,3 +887,14 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "N=8" in proc.stdout
     assert (out / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("argv,code", [(["--help"], 0), (["transform"], 1)])
+def test_package_runs_as_a_module(capsys, monkeypatch, argv, code):
+    # in this process, so that the entry module's own lines run under the suite
+    monkeypatch.setattr(sys, "argv", ["fourierpath", *argv])
+    monkeypatch.delitem(sys.modules, "fourierpath.__main__", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("fourierpath", run_name="__main__")
+    assert exc.value.code == code
+    assert ("usage: fourierpath" in capsys.readouterr().out) == (code == 0)

@@ -66,6 +66,18 @@ class TestLoadPath:
         with pytest.raises(PathDataError, match="line 2"):
             load_path(_csv(tmp_path, "0,0\n1,inf\n"))
 
+    @pytest.mark.parametrize("offset", [6, 20000])
+    def test_byte_that_is_not_utf8_is_named_at_its_file_offset(self, tmp_path, offset):
+        # 20000 lies past the reader's first 8 KiB chunk, whose decoder counts
+        # positions from the start of the chunk, not of the file
+        data = bytearray(b"".join(b"%d,%d\n" % (i, i) for i in range(5000)))
+        data[offset] = 0xFF
+        target = tmp_path / "path.csv"
+        target.write_bytes(bytes(data))
+        with pytest.raises(UnicodeDecodeError, match="^'utf-8' codec can't decode byte 0xff "
+                                                     f"in position {offset}: "):
+            load_path(target)
+
     def test_too_few_points_rejected(self, tmp_path):
         with pytest.raises(PathDataError):
             load_path(_csv(tmp_path, "0,0\n"))
@@ -101,6 +113,8 @@ class TestSynthPath:
             ("circle", 8, [-1.0]),
             ("lissajous", 8, [2.5, 2]),
             ("circle", 8, [1.0, 2.0]),
+            ("ellipse", 8, [0.0, 1.0]),
+            ("ellipse", 8, [2.0, -1.0]),
         ],
     )
     def test_invalid_requests_rejected(self, kind, n, params):

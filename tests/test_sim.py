@@ -1,8 +1,10 @@
 import io
+import re
 
 import numpy as np
 import pytest
 
+from fourierpath import sim
 from fourierpath import (
     FieldState,
     GvfParams,
@@ -213,6 +215,13 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(FieldState(0, 0, 0), duration=1e6, dt=1e-3)
 
+    @pytest.mark.parametrize("dt", [1.0, 1e-3])
+    def test_step_cap_is_admitted_and_one_step_past_it_refused(self, dt):
+        cap = sim._STEP_LIMIT
+        assert sim._n_steps(SimConfig(FieldState(0, 0, 0), duration=cap * dt, dt=dt)) == cap
+        with pytest.raises(ValueError, match=re.escape(f"duration/dt must be at most {cap:g}, ")):
+            SimConfig(FieldState(0, 0, 0), duration=(cap + 1) * dt, dt=dt)
+
 
 def test_trajectory_csv_round_trip(unit_epicycle):
     cfg = SimConfig(FieldState(2.0, 0.0, 0.0), duration=0.2, dt=1e-2)
@@ -231,6 +240,12 @@ def test_trajectory_csv_round_trip(unit_epicycle):
     decimated = io.StringIO()
     traj.write_csv(decimated, stride=5)
     assert len(decimated.getvalue().strip().splitlines()) == 1 + len(range(0, traj.n_rows, 5))
+
+
+def test_stride_below_one_is_refused(unit_epicycle):
+    traj = integrate(unit_epicycle, UNIT, SimConfig(FieldState(2.0, 0.0, 0.0), 0.1, 1e-2))
+    with pytest.raises(ValueError, match="^stride must be >= 1$"):
+        traj.write_csv(io.StringIO(), stride=0)
 
 
 def test_stacked_trajectory_has_no_csv_table():

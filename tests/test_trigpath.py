@@ -174,6 +174,13 @@ def test_reconstruction_csv_export():
     assert (th0, x0, y0) == (0.0, pytest.approx(1.0), pytest.approx(0.0, abs=1e-15))
 
 
+def test_reconstruction_csv_needs_two_samples():
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="^samples must be >= 2$"):
+        write_reconstruction_csv(dft(synth_path("circle", 16, [1.0])), buf, samples=1)
+    assert buf.getvalue() == ""
+
+
 def _assert_grid_matches(path, samples, k, a):
     # the grid transform against the direct sum and the pointwise path
     grid = UniformGrid(samples)
