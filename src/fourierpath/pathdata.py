@@ -44,6 +44,11 @@ class PathDataError(ValueError):
     """Unusable path data: parse failure, too few points, non-finite values."""
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer, False for a bool or anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class PathSamples:
     """Ordered planar samples, stored as a read-only (N, 2) float array."""
@@ -94,8 +99,8 @@ class NoiseSpec:
             if not 0.0 <= v <= _MAGNITUDE_LIMIT:
                 raise PathDataError(f"{name} must be finite, >= 0 and at most "
                                     f"{_MAGNITUDE_LIMIT:g}, got {v!r}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise PathDataError("seed must fit in an unsigned 64-bit integer")
+        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
+            raise PathDataError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 def load_path(source) -> PathSamples:
@@ -147,16 +152,19 @@ def write_table(fh, header: str, columns) -> None:
     Every value is printed as ``%.17g``, so a double reads back exactly and
     an integer below 2**53 prints without a decimal point; the bytes are
     those of ``np.savetxt(fh, table, fmt="%.17g", delimiter=",",
-    header=header, comments="")``.  Rows are formatted ``_BLOCK_ROWS`` at a
-    time, with one string operation per block.
+    header=header, comments="")``.  Rows are stacked and formatted
+    ``_BLOCK_ROWS`` at a time, with one string operation per block, so no
+    copy of the whole table is made.
     """
-    table = np.column_stack(columns)
-    if table.shape[1] != len(columns):
+    columns = [np.asarray(column) for column in columns]
+    if any(column.ndim != 1 for column in columns):
         raise ValueError("every table column must be 1-D")
+    if len({len(column) for column in columns}) != 1:
+        raise ValueError("a table takes one or more columns of one length")
     line = ",".join(["%.17g"] * len(columns)) + "\n"
     fh.write(header + "\n")
-    for start in range(0, len(table), _BLOCK_ROWS):
-        block = table[start:start + _BLOCK_ROWS]
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.column_stack([column[start:start + _BLOCK_ROWS] for column in columns])
         fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -171,7 +179,7 @@ def synth_path(kind: str, n: int, params=()) -> PathSamples:
     * ``lissajous``: [a=3, b=2, delta=0] giving x = cos(a*t + delta),
       y = sin(b*t); a and b must be positive integers so the curve closes.
     """
-    if not isinstance(n, (int, np.integer)) or not 2 <= n <= _SAMPLE_LIMIT:
+    if not _is_integer(n) or not 2 <= n <= _SAMPLE_LIMIT:
         raise PathDataError(f"n must be an integer in 2..{_SAMPLE_LIMIT}, got {n!r}")
     t = TWO_PI * np.arange(n) / n
     if kind == "circle":

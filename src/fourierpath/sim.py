@@ -26,10 +26,10 @@ __all__ = ["IntegrationError", "SimConfig", "Trajectory", "integrate", "converge
 
 _DIVERGENCE_LIMIT = 1e12
 # most RK4 steps a run may take, a memory guard rail: every step is recorded,
-# and a simulate's peak resident memory grows by up to about 580 B per step
-# (noisy data, more than 4096 terms: one evaluation block per row), so the
-# largest run the cap admits stays within 3.6 GB
-_STEP_LIMIT = 5 * 10**6
+# and a simulate's peak resident memory grows by up to about 104 B per step
+# (noisy data: the reference curve's (4, n) output on top of the rows), so
+# the largest run the cap admits stays within 3.6 GB
+_STEP_LIMIT = 3 * 10**7
 
 
 class IntegrationError(RuntimeError):

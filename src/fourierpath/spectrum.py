@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fft import fft
-from .pathdata import PathSamples, write_table
+from .pathdata import PathSamples, _is_integer, write_table
 from .trigpath import TrigPath
 
 __all__ = [
@@ -73,9 +73,9 @@ class Spectrum(TrigPath):
         k = self.k
         if k.size and np.any(np.diff(k) <= 0):
             raise ValueError("indices must be strictly increasing")
+        if not _is_integer(self.n_samples) or self.n_samples < 2:
+            raise ValueError(f"n_samples must be an integer >= 2, got {self.n_samples!r}")
         n = int(self.n_samples)
-        if n < 2:
-            raise ValueError("n_samples must be >= 2")
         lo, hi = -((n - 1) // 2), n // 2
         if k.size and (k[0] < lo or k[-1] > hi):
             raise ValueError(f"indices must lie in [{lo}, {hi}] for n_samples={n}")

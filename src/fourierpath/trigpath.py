@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fft import fft
-from .pathdata import write_table
+from .pathdata import _is_integer, write_table
 
 __all__ = ["TrigPath", "UniformGrid", "write_reconstruction_csv"]
 
@@ -46,10 +46,8 @@ class UniformGrid:
     samples: int
 
     def __post_init__(self):
-        if (not isinstance(self.samples, (int, np.integer)) or isinstance(self.samples, bool)
-                or self.samples < 1):
-            raise ValueError(f"a grid takes an integer sample count >= 1, "
-                             f"got {self.samples!r}")
+        if not _is_integer(self.samples) or self.samples < 1:
+            raise ValueError(f"a grid takes an integer sample count >= 1, got {self.samples!r}")
 
     @property
     def theta(self) -> np.ndarray:
@@ -74,8 +72,10 @@ class TrigPath:
     _amp = _phase = _kamp = None
 
     def __post_init__(self):
-        k = np.array(self.k, dtype=np.int64)
-        a = np.array(self.a, dtype=np.complex128)
+        k = np.asarray(self.k)
+        if k.size and (k.dtype.kind not in "iu" or not np.can_cast(k.dtype, np.int64)):
+            raise ValueError(f"k must hold integers in the int64 range, not {k.dtype} values")
+        k, a = k.astype(np.int64), np.array(self.a, dtype=np.complex128)
         if k.ndim != 1 or a.ndim not in (1, 2) or a.shape[-1] != k.size:
             raise ValueError("k must be 1-D, and a a (K,) or (R, K) array over its K terms")
         if not np.all(np.isfinite(a)):
@@ -107,29 +107,27 @@ class TrigPath:
         """
         if isinstance(theta, UniformGrid):
             return self._eval_grid(theta.samples)
-        return self._evaluate(theta, self._point)
+        return self._evaluate(theta)[:2]
 
     def eval_with_deriv(self, theta):
         """(x, y, dx/dtheta, dy/dtheta) sharing one trig evaluation."""
-        return self._evaluate(theta, self._point_and_deriv)
+        return self._evaluate(theta)
 
     # vecdot sums a row the same way whether it stands alone or in a block
     # of any height, where ``@`` picks a kernel by the block's shape.
-    def _point(self, c, s):
-        return np.vecdot(c, self._amp), np.vecdot(s, self._amp)
-
-    def _point_and_deriv(self, c, s):
+    def _sums(self, w):  # (x, y, dx, dy) from the rotations w of the terms
+        c, s = w.real, w.imag
         return (np.vecdot(c, self._amp), np.vecdot(s, self._amp),
                 -np.vecdot(s, self._kamp), np.vecdot(c, self._kamp))
 
-    def _evaluate(self, theta, sums):
-        """``sums`` of the cos and sin tables of the terms at theta.
+    def _evaluate(self, theta):
+        """:meth:`_sums` of the terms at theta.
 
         Array parameters are taken in blocks of rows whose tables hold at
-        most ``_BLOCK_ELEMENTS`` entries, so memory stays proportional to
-        the output however many terms and parameters there are.  A stack
-        of R curves takes R parameters, one per curve, in one table the
-        size of its coefficients.
+        most ``_BLOCK_ELEMENTS`` entries, each written into its columns of
+        one (4, n) output, so memory follows the output however many terms
+        there are.  A stack of R curves takes R parameters, one per curve,
+        in one table the size of its coefficients.
         """
         if self._phase is None:
             self._derive_polar_tables()
@@ -138,16 +136,14 @@ class TrigPath:
             raise ValueError(f"a stack of {self.a.shape[0]} curves takes "
                              f"one parameter per curve, got shape {th.shape}")
         if self.a.ndim == 2 or th.ndim == 0:
-            w = self._rotations(th)
-            values = sums(w.real, w.imag)
+            values = self._sums(self._rotations(th))
             return values if th.ndim else tuple(map(float, values))
         flat = th.ravel()
         rows = max(1, _BLOCK_ELEMENTS // max(1, self.n_terms))
-        blocks = []
-        for start in range(0, max(flat.size, 1), rows):
-            w = self._rotations(flat[start:start + rows])
-            blocks.append(sums(w.real, w.imag))
-        return tuple(np.concatenate(part).reshape(th.shape) for part in zip(*blocks))
+        out = np.empty((4, flat.size))
+        for start in range(0, flat.size, rows):
+            out[:, start:start + rows] = self._sums(self._rotations(flat[start:start + rows]))
+        return tuple(out.reshape(4, *th.shape))
 
     def _rotations(self, th):
         return np.exp(1j * (np.multiply.outer(th, self.k) + self._phase))

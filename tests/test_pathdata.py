@@ -1,5 +1,7 @@
 import io
+import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +165,15 @@ class TestAddNoise:
         with pytest.raises(PathDataError):
             NoiseSpec(-0.1, 0.0, 0)
 
+    @pytest.mark.parametrize("seed", [1.9, "7", True, -1, 2**64])
+    def test_seed_that_is_not_an_unsigned_64_bit_integer_is_refused(self, seed):
+        with pytest.raises(PathDataError, match="^seed must be an integer"):
+            NoiseSpec(0.1, 0.1, seed=seed)
+
+    def test_seed_may_be_a_numpy_integer(self):
+        spec = NoiseSpec(0.1, 0.1, seed=np.uint64(2**64 - 1))
+        assert add_noise(PathSamples(np.zeros((4, 2))), spec).n_samples == 4
+
 
 class TestMagnitudeGuardRail:
     def test_coordinate_past_the_rail_names_its_line(self, tmp_path):
@@ -319,3 +330,24 @@ class TestWriteTable:
     def test_a_column_of_two_dimensions_is_refused(self):
         with pytest.raises(ValueError, match="1-D"):
             pathdata.write_table(io.StringIO(), "t,x", (np.arange(3.0), np.ones((3, 2))))
+
+    @pytest.mark.parametrize("columns", [(np.arange(3.0), np.ones(4)), (np.ones(600), np.ones(599)),
+                                         ()], ids=["short", "short-past-a-block", "none"])
+    def test_columns_of_unequal_length_are_refused_before_any_write(self, columns):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="one length"):
+            pathdata.write_table(buf, "a,b", columns)
+        assert buf.getvalue() == ""
+
+    def test_memory_stays_below_the_size_of_the_table(self):
+        # a whole-table stack would need rows * 8 columns * 8 B at once
+        rows = 20000
+        columns = [np.linspace(-1.0, 1.0, rows) * (c + 1) for c in range(8)]
+        with open(os.devnull, "w") as fh:
+            tracemalloc.start()
+            try:
+                pathdata.write_table(fh, ",".join("abcdefgh"), columns)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * 8 * rows

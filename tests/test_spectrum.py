@@ -175,6 +175,11 @@ class TestSpectrumType:
         with pytest.raises(ValueError):
             Spectrum(k=np.array([0]), a=np.array([np.nan + 0j]), n_samples=4)
 
+    @pytest.mark.parametrize("n", [3.7, "8", True])
+    def test_sample_count_that_is_not_an_integer_is_refused(self, n):
+        with pytest.raises(ValueError, match="^n_samples must be an integer"):
+            Spectrum(k=np.array([0]), a=np.array([1j]), n_samples=n)
+
     def test_stack_of_coefficients_rejected(self):
         # a stack of curves is a TrigPath; a spectrum is one curve
         with pytest.raises(ValueError, match="1-D"):

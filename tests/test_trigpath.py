@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,38 @@ def test_type_validation():
             TrigPath(k=[0, 1], a=[1.0, bad])
         with pytest.raises(ValueError, match="finite"):
             TrigPath(k=[0, 1], a=[[1.0, 2.0], [bad, 0.5]])
+
+
+@pytest.mark.parametrize("k", [[0.5, 1.7], [2**70], [2**63], [True, False]],
+                         ids=["fractions", "past-int64", "past-int64-unsigned", "bools"])
+def test_indices_that_are_not_64_bit_integers_are_refused(k):
+    with pytest.raises(ValueError, match="^k must hold integers"):
+        TrigPath(k=k, a=np.ones(len(k)))
+
+
+def test_indices_may_be_empty_or_numpy_integers():
+    assert TrigPath(k=[], a=[]).k.dtype == np.int64
+    for dtype in (np.int8, np.uint32, np.int64):
+        curve = TrigPath(k=np.array([1, 2], dtype=dtype), a=[1.0, 2.0])
+        assert curve.k.dtype == np.int64 and curve.k.tolist() == [1, 2]
+
+
+def test_blocked_evaluation_memory_follows_the_output(monkeypatch):
+    # one-row blocks: the peak must not grow with the blocks, only with the
+    # (4, n) output and the wrapped parameters, 40 B per row
+    monkeypatch.setattr(trigpath, "_BLOCK_ELEMENTS", 16)
+    rows = 20000
+    path = TrigPath(k=np.arange(16) - 8, a=np.linspace(0.5, 1.5, 16) * 1j)
+    path.eval(0.0)
+    th = np.linspace(-7.0, 9.0, rows)
+    tracemalloc.start()
+    try:
+        x, y = path.eval(th)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == y.shape == (rows,)
+    assert peak <= 64 * rows
 
 
 def test_negative_real_coefficient_ignores_the_sign_of_its_zero_imaginary_part():
