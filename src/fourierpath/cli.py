@@ -66,7 +66,7 @@ class RunConfig:
     duration: float = _setting(20.0, "simulated horizon")
     dt: float = _setting(1e-3, "integration step")
     # memory guard rails: past its first batch a certify peaks about 155 B higher
-    # per run, and a reconstruction about 556 B per sample (a prime count just past
+    # per run, and a reconstruction about 370 B per sample (a prime count just past
     # a power of two), so the largest run either cap admits stays within 3.6 GB
     runs: int = _setting(20, "Monte-Carlo runs", 1, 2 * 10**7)
     out_dir: str = _setting("out", "output directory")

@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,32 @@ class TestIntegrate:
         # theta; a batched curve point rounds exactly like a scalar one
         tx, ty = np.array([truth.eval(th) for th in traj.theta]).T
         assert np.array_equal(traj.e_inst, (traj.x - tx) ** 2 + (traj.y - ty) ** 2)
+
+    @pytest.mark.parametrize("shape", [(3 * sim._ERROR_CHUNK_ROWS + 5,),
+                                       (2 * sim._ERROR_CHUNK_ROWS + 1, 3)])
+    def test_error_in_chunks_matches_one_evaluation(self, shape):
+        # chunk edges, a short last chunk and a stack's run axis
+        truth = dft(synth_path("circle", 64, [1.0]))
+        theta = np.linspace(-3.0, 40.0, np.prod(shape)).reshape(shape)
+        x, y = np.cos(theta) + 1e-3, np.sin(theta)
+        tx, ty = truth.eval(theta)
+        want = (x - tx) ** 2 + (y - ty) ** 2
+        assert np.array_equal(sim._squared_error(truth, x, y, theta), want)
+
+    def test_error_memory_is_one_chunk_past_its_output(self):
+        # a chunk of 4096 rows measured 153 B per row over its output (the
+        # reference's points, wrapped parameters and a rotation block);
+        # one evaluation of the whole trajectory took 40 B per row, 8 MB here
+        truth = dft(synth_path("circle", 64, [1.0]))
+        theta = np.linspace(0.0, 300.0, 200_000)
+        x, y = np.cos(theta), np.sin(theta)
+        tracemalloc.start()
+        try:
+            e = sim._squared_error(truth, x, y, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - e.nbytes <= 256 * sim._ERROR_CHUNK_ROWS
 
     def test_error_defaults_to_followed_path(self, unit_epicycle):
         cfg = SimConfig(FieldState(2.0, 0.0, 0.0), duration=1.0, dt=1e-2)
