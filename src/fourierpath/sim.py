@@ -1,14 +1,21 @@
 """Fixed-step integration of the closed loop state' = chi(state).
 
 The step loop takes classic fourth-order Runge-Kutta steps and records the
-state and the curve offsets at every step.  The quadratic energy V1 and
-the squared distance to a reference curve are computed from those rows
-once the loop ends, so trajectories can be audited after the fact.
+state and the curve offsets at every step.  The state is one value per
+component, x, y and theta, and each RK4 formula is applied to each
+component alone.  The quadratic energy V1 and the squared distance to a
+reference curve are computed from those rows once the loop ends, so
+trajectories can be audited after the fact.
 
 The same loop integrates a stack of R curves (see ``TrigPath``) at once:
-the state is then (3, R) instead of (3,), every recorded array gains a
-trailing run axis, and column r is byte for byte the trajectory that
-following curve r alone gives.
+each component is then an (R,) array instead of a float, every recorded
+array gains a trailing run axis, and column r is byte for byte the
+trajectory that following curve r alone gives.
+
+The recorded rows are checked for divergence one block of ``_CHECK_ROWS``
+rows at a time, not at every step, so a diverging run may step up to one
+block past the divergence; the step it reports is still the first one out
+of range.
 """
 
 from __future__ import annotations
@@ -25,6 +32,9 @@ from .trigpath import TrigPath
 __all__ = ["IntegrationError", "SimConfig", "Trajectory", "integrate", "convergence_time"]
 
 _DIVERGENCE_LIMIT = 1e12
+# recorded rows whose range is checked at once; a diverging run steps at
+# most this many rows past the divergence before it is reported
+_CHECK_ROWS = 256
 # most RK4 steps a run may take, a memory guard rail: every step is recorded,
 # and a simulate's peak resident memory grows by up to about 80 B per step
 # (with or without noise, 16 or 4100 terms), so the largest run the cap
@@ -118,10 +128,16 @@ def integrate(
     the followed path itself is the reference, in which case
     e_inst = phi1^2 + phi2^2.
 
+    The state is stepped one component at a time: x, y and theta are
+    floats for one curve and (R,) arrays for a stack.
+
     Raises :class:`IntegrationError` with the offending step index when the
     state leaves the finite range, which almost always means dt is too
     large for the gains at hand.  For a stack it also names the curve:
-    the one that diverges first, ties going to the lowest index.
+    the one that diverges first, ties going to the lowest index.  The range
+    is checked once per block of ``_CHECK_ROWS`` recorded rows, so the loop
+    may step up to one block past the divergence before it raises; the
+    reported step is exact.
     """
     n_steps = _n_steps(cfg)
     dt = cfg.dt
@@ -132,33 +148,30 @@ def integrate(
     # one row (x, y, theta, phi1, phi2) per step
     rows = np.empty((n_steps + 1, 5, *runs))
 
-    s = np.empty((3, *runs))
-    s[0], s[1], s[2] = cfg.eta0.x, cfg.eta0.y, cfg.eta0.theta
-
-    def rhs(state):
-        return np.array(_field_terms(path, state[0], state[1], state[2], params)[4])
-
+    # one value per component: floats for one curve, (R,) arrays for a stack
+    x, y, th = (np.full(runs, float(v)) if runs else float(v)
+                for v in (cfg.eta0.x, cfg.eta0.y, cfg.eta0.theta))
+    h, sixth, two = 0.5 * dt, dt / 6.0, 2.0
+    if runs:
+        # numpy scales an (R,) array by a 0-d array faster than by a float
+        dt, h, sixth, two = (np.array(v) for v in (dt, h, sixth, two))
+    checked = 1  # rows before this one are known to be in range
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps + 1):
-            phi1, phi2, _, _, chi = _field_terms(path, s[0], s[1], s[2], params)
-            rows[i] = (s[0], s[1], s[2], phi1, phi2)
+            phi1, phi2, _, _, (ax, ay, at) = _field_terms(path, x, y, th, params)
+            rows[i] = (x, y, th, phi1, phi2)
+            if i == n_steps or i - checked == _CHECK_ROWS - 1:
+                _check_bounded(rows, checked, i + 1, t)
+                checked = i + 1
             if i == n_steps:
                 break
 
-            f1 = np.array(chi)
-            f2 = rhs(s + 0.5 * dt * f1)
-            f3 = rhs(s + 0.5 * dt * f2)
-            f4 = rhs(s + dt * f3)
-            s = s + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-            # false for NaN too
-            bounded = np.abs(s) <= _DIVERGENCE_LIMIT
-            if not np.all(bounded):
-                raise IntegrationError(
-                    i + 1,
-                    f"state diverged at step {i + 1} (t = {t[i + 1]:g}); "
-                    "dt is too large for these gains",
-                    int(np.argmin(np.all(bounded, axis=0))) if runs else None,
-                )
+            bx, by, bt = _field_terms(path, x + h * ax, y + h * ay, th + h * at, params)[4]
+            cx, cy, ct = _field_terms(path, x + h * bx, y + h * by, th + h * bt, params)[4]
+            dx, dy, dth = _field_terms(path, x + dt * cx, y + dt * cy, th + dt * ct, params)[4]
+            x = x + sixth * (ax + two * bx + two * cx + dx)
+            y = y + sixth * (ay + two * by + two * cy + dy)
+            th = th + sixth * (at + two * bt + two * ct + dth)
 
     x, y, theta, phi1, phi2 = np.moveaxis(rows, 1, 0)
     v1 = params.k1 * phi1 * phi1 + params.k2 * phi2 * phi2
@@ -167,6 +180,23 @@ def integrate(
     else:
         e_inst = _squared_error(truth, x, y, theta)
     return Trajectory(t, x, y, theta, phi1, phi2, v1, e_inst)
+
+
+def _check_bounded(rows, start: int, stop: int, t) -> None:
+    """Raise :class:`IntegrationError` at the first of rows start..stop-1
+    whose state left the finite range, naming the lowest such curve of a stack."""
+    # false for NaN too
+    bounded = np.all(np.abs(rows[start:stop, :3]) <= _DIVERGENCE_LIMIT, axis=1)
+    if bounded.all():
+        return
+    first = int(np.argmin(bounded.reshape(stop - start, -1).all(axis=1)))
+    step = start + first
+    raise IntegrationError(
+        step,
+        f"state diverged at step {step} (t = {t[step]:g}); "
+        "dt is too large for these gains",
+        int(np.argmin(bounded[first])) if bounded.ndim == 2 else None,
+    )
 
 
 def _n_steps(cfg: SimConfig) -> int:

@@ -131,13 +131,16 @@ class TrigPath:
         """
         if self._phase is None:
             self._derive_polar_tables()
+        # a lone curve at a scalar: float % wraps as np.mod does, -0.0 included;
+        # isinstance first, since np.ndim builds a 0-d array from a float
+        if self.a.ndim == 1 and (isinstance(theta, float) or np.ndim(theta) == 0):
+            return tuple(map(float, self._sums(self._rotations(float(theta) % TWO_PI))))
         th = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI)
-        if self.a.ndim == 2 and th.shape != self.a.shape[:1]:
-            raise ValueError(f"a stack of {self.a.shape[0]} curves takes "
-                             f"one parameter per curve, got shape {th.shape}")
-        if self.a.ndim == 2 or th.ndim == 0:
-            values = self._sums(self._rotations(th))
-            return values if th.ndim else tuple(map(float, values))
+        if self.a.ndim == 2:
+            if th.shape != self.a.shape[:1]:
+                raise ValueError(f"a stack of {self.a.shape[0]} curves takes "
+                                 f"one parameter per curve, got shape {th.shape}")
+            return self._sums(self._rotations(th))
         flat = th.ravel()
         rows = max(1, _BLOCK_ELEMENTS // max(1, self.n_terms))
         out = np.empty((4, flat.size))

@@ -43,6 +43,32 @@ def stacked(curves):
     return TrigPath(curves[0].k, np.stack([c.a for c in curves]))
 
 
+def array_state_rk4(path, params, cfg):
+    """Rows ``(t, x, y, theta, phi1, phi2)`` of the RK4 loop that stepped the
+    state as one (3,) or (3, R) array, with no divergence check."""
+    dt, n = cfg.dt, sim._n_steps(cfg)
+    runs = path.a.shape[:-1]
+    rows = np.empty((n + 1, 5, *runs))
+    s = np.empty((3, *runs))
+    s[0], s[1], s[2] = cfg.eta0.x, cfg.eta0.y, cfg.eta0.theta
+
+    def rhs(state):
+        return np.array(_field_terms(path, state[0], state[1], state[2], params)[4])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n + 1):
+            phi1, phi2, _, _, chi = _field_terms(path, s[0], s[1], s[2], params)
+            rows[i] = (s[0], s[1], s[2], phi1, phi2)
+            if i == n:
+                break
+            f1 = np.array(chi)
+            f2 = rhs(s + 0.5 * dt * f1)
+            f3 = rhs(s + 0.5 * dt * f2)
+            f4 = rhs(s + dt * f3)
+            s = s + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    return (dt * np.arange(n + 1), *np.moveaxis(rows, 1, 0))
+
+
 class TestIntegrate:
     def test_on_path_start_stays_on_path(self, unit_epicycle):
         cfg = SimConfig(FieldState(1.0, 0.0, 0.0), duration=10.0, dt=1e-3)
@@ -149,6 +175,70 @@ class TestIntegrate:
         with pytest.raises(IntegrationError, match="dt") as err:
             integrate(stacked(curves), params, cfg)
         assert (err.value.step, err.value.curve) == min(first)
+
+    @pytest.mark.parametrize("case", ["lone-full-window", "stack"])
+    def test_loop_matches_the_array_state_rk4(self, case):
+        clean = synth_path("lissajous", 758, [3, 2])
+        if case == "stack":
+            truth, curves = noisy_curves([1, 2, 3], sigma=0.1)
+            path = stacked(curves)
+        else:
+            truth, path = dft(clean), dft(add_noise(clean, NoiseSpec(0.1, 0.15, 1)))
+        params = GvfParams(1.0, 2.0)
+        cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=0.3, dt=1e-3)
+        traj = integrate(path, params, cfg, truth=truth)
+        t, x, y, theta, phi1, phi2 = array_state_rk4(path, params, cfg)
+        tx, ty = truth.eval(theta)
+        want = dict(t=t, x=x, y=y, theta=theta, phi1=phi1, phi2=phi2,
+                    v1=params.k1 * phi1 * phi1 + params.k2 * phi2 * phi2,
+                    e_inst=(x - tx) ** 2 + (y - ty) ** 2)
+        assert traj.n_rows == 301
+        for name, value in want.items():
+            assert np.array_equal(getattr(traj, name), value), name
+
+    @pytest.mark.parametrize("stack", [False, True], ids=["lone", "stack"])
+    @pytest.mark.parametrize("first", [1, sim._CHECK_ROWS - 1, sim._CHECK_ROWS,
+                                       sim._CHECK_ROWS + 1, "last"])
+    def test_divergence_is_reported_exactly_at_block_edges(self, monkeypatch, first, stack):
+        # about a constant curve, RK4 multiplies x's offset by R(-k1*dt) per
+        # step, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24; R = 1e12**(1/(first - 1/2))
+        # takes an offset of 1 past the range at step `first`, with a margin
+        # of sqrt(R) either side
+        dt, n_steps = 1e-2, 2 * sim._CHECK_ROWS + 3
+        first = n_steps if first == "last" else first
+        growth = 1e12 ** (1.0 / (first - 0.5))
+        z = min(r.real for r in np.roots([1 / 24, 1 / 6, 1 / 2, 1, 1 - growth])
+                if abs(r.imag) <= 1e-9 * abs(r))
+        params = GvfParams(-z / dt, 1.0)
+        cfg = SimConfig(FieldState(1.0, 0.0, 0.0), duration=n_steps * dt, dt=dt)
+        # offsets 0.01, 1 and 0: curve 1 leaves first, tied with curve 0 at step 1
+        a = [[0.99], [0.0], [1.0]] if stack else [0.0]
+        path = TrigPath(k=[0], a=a)
+
+        # the reference: the first recorded row out of range, scanned step by step
+        t, *state = array_state_rk4(path, params, cfg)[:4]
+        for step in range(1, n_steps + 1):
+            out = ~(np.abs(np.array([v[step] for v in state])) <= sim._DIVERGENCE_LIMIT)
+            if out.any():
+                break
+        assert step == first
+        curve = int(np.argmax(out.any(axis=0))) if stack else None
+
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return _field_terms(*args)
+
+        monkeypatch.setattr(sim, "_field_terms", counted)
+        with pytest.raises(IntegrationError) as err:
+            integrate(path, params, cfg)
+        assert (err.value.step, err.value.curve) == (step, curve)
+        assert str(err.value) == (f"state diverged at step {step} (t = {t[step]:g}); "
+                                  "dt is too large for these gains")
+        # four field evaluations per step, and at most one block past the divergence
+        assert calls <= 4 * (step + sim._CHECK_ROWS - 1) + 1
 
     def test_error_against_reference_curve(self):
         clean = synth_path("circle", 64, [1.0])

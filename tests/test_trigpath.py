@@ -95,6 +95,32 @@ def test_array_point_equals_scalar_point(n_terms):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n_terms", [0, 1, 101, 758])
+def test_scalar_parameter_rounds_like_a_one_element_array(n_terms):
+    # a lone curve wraps a scalar with float %, an array with np.mod: the
+    # same number, -0.0, huge and tiny parameters included
+    rng = np.random.default_rng(n_terms)
+    path = TrigPath(k=np.arange(n_terms) - n_terms // 2,
+                    a=rng.uniform(0.0, 1.0, n_terms) * np.exp(1j * rng.uniform(-3.0, 3.0, n_terms)))
+    values = [0.0, -0.0, TWO_PI, -TWO_PI, 1e-300, 1e12, -1e12,
+              np.pi, -np.pi, 3 * np.pi, -5 * np.pi, *rng.uniform(-50.0, 50.0, 8)]
+    for v in values:
+        forms = [float(v), np.float64(v), np.array(v)] + ([int(v)] if v.is_integer() else [])
+        for theta in forms:
+            got = path.eval_with_deriv(theta)
+            want = np.stack(path.eval_with_deriv(np.array([theta])), axis=1)[0]
+            assert all(type(value) is float for value in got)
+            assert np.array(got).tobytes() == want.tobytes(), (v, type(theta))
+
+
+def test_stack_refuses_a_scalar_parameter():
+    stack = TrigPath(k=[0, 1], a=np.ones((3, 2)))
+    for theta in (0.3, np.float64(0.3), np.array(0.3), 1):
+        with pytest.raises(ValueError) as err:
+            stack.eval_with_deriv(theta)
+        assert str(err.value) == "a stack of 3 curves takes one parameter per curve, got shape ()"
+
+
 def test_derivative_matches_central_difference():
     path = apply_window(decaying_spectrum(128, seed=3), 24)
     rng = np.random.default_rng(10)
