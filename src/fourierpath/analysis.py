@@ -209,10 +209,10 @@ def certify(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    tail_start = _tail_start(cfg)
     clean_spec = dft(clean)
     delta = p_bar(clean_spec, m, noise.sigma1, noise.sigma2)
     seeds = np.random.SeedSequence(int(noise.seed)).generate_state(runs, dtype=np.uint64)
-    tail_start = 0.9 * cfg.duration - 1e-12
     # every run's curve has the terms of the clean spectrum's window
     terms = apply_window(clean_spec, m).k.size
     batch = max(1, _ROW_BUDGET // max(_n_steps(cfg) + 1, terms))
@@ -249,6 +249,21 @@ def certify(
         e_ms_per_run=tuple(e_runs),
         runs=runs,
     )
+
+
+def _tail_start(cfg: SimConfig) -> float:
+    """Where the final 10% of the horizon that :func:`certify` averages starts.
+
+    ``integrate`` records rows at ``t = dt*i`` for i up to the rounded
+    duration/dt, so a coarse dt can end the last step before that start;
+    such a horizon averages no row, and is refused.
+    """
+    start = 0.9 * cfg.duration - 1e-12
+    end = cfg.dt * _n_steps(cfg)
+    if end < start:
+        raise ValueError(f"the last step ends at t = {end:g}, before the averaged final "
+                         f"10% of the duration starts at t = {start:g}; a smaller dt reaches it")
+    return start
 
 
 def _widths_up_to(spec: Spectrum, m_max: int) -> np.ndarray:

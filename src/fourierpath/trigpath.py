@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,17 +60,12 @@ class TrigPath:
     """Immutable term list: indices ``k`` and complex coefficients ``a``.
 
     ``a`` is (K,) for one curve, or (R, K) for a stack of R curves.  Both
-    arrays are read-only copies of the caller's.  The polar tables the
-    pointwise sums run on, amplitudes ``|a|`` and phases in (-pi, pi], are
-    derived from ``a`` once, on first pointwise use.
+    arrays are read-only copies of the caller's.  The tables the pointwise
+    sums run on are derived from them once, on first pointwise use.
     """
 
     k: np.ndarray
     a: np.ndarray
-    # the polar tables: None until the first pointwise evaluation derives
-    # them into the instance __dict__, where the step loop reads them as
-    # plain attributes
-    _amp = _phase = _kamp = None
 
     def __post_init__(self):
         k = np.asarray(self.k)
@@ -84,16 +80,22 @@ class TrigPath:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def _derive_polar_tables(self):
+    @cached_property
+    def _tables(self):
+        """Read-only ``(k as float64, phase in (-pi, pi], |a|, k*|a|)``, held
+        in the instance ``__dict__`` once derived."""
+        # the float k is what numpy's int64 -> float64 promotion forms in
+        # th*k, so every angle is the number the int64 k gives
+        kf = self.k.astype(np.float64)
         amp = np.abs(self.a)
         phase = np.angle(self.a)
         # angle() returns -pi for a negative real part with a -0.0 imaginary
         # part; fold that onto +pi to keep phases in (-pi, pi].
         phase = np.where(phase <= -np.pi, phase + TWO_PI, phase)
-        kamp = (self.k * amp).astype(np.float64)
-        for name, arr in (("_amp", amp), ("_phase", phase), ("_kamp", kamp)):
+        tables = (kf, phase, amp, kf * amp)
+        for arr in tables:
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        return tables
 
     @property
     def n_terms(self) -> int:
@@ -115,10 +117,11 @@ class TrigPath:
 
     # vecdot sums a row the same way whether it stands alone or in a block
     # of any height, where ``@`` picks a kernel by the block's shape.
-    def _sums(self, w):  # (x, y, dx, dy) from the rotations w of the terms
+    def _sums(self, th):  # (x, y, dx, dy) at the wrapped parameters th
+        kf, phase, amp, kamp = self._tables
+        w = np.exp(1j * (np.multiply.outer(th, kf) + phase))
         c, s = w.real, w.imag
-        return (np.vecdot(c, self._amp), np.vecdot(s, self._amp),
-                -np.vecdot(s, self._kamp), np.vecdot(c, self._kamp))
+        return (np.vecdot(c, amp), np.vecdot(s, amp), -np.vecdot(s, kamp), np.vecdot(c, kamp))
 
     def _evaluate(self, theta):
         """:meth:`_sums` of the terms at theta.
@@ -129,27 +132,22 @@ class TrigPath:
         there are.  A stack of R curves takes R parameters, one per curve,
         in one table the size of its coefficients.
         """
-        if self._phase is None:
-            self._derive_polar_tables()
         # a lone curve at a scalar: float % wraps as np.mod does, -0.0 included;
         # isinstance first, since np.ndim builds a 0-d array from a float
         if self.a.ndim == 1 and (isinstance(theta, float) or np.ndim(theta) == 0):
-            return tuple(map(float, self._sums(self._rotations(float(theta) % TWO_PI))))
+            return tuple(map(float, self._sums(float(theta) % TWO_PI)))
         th = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI)
         if self.a.ndim == 2:
             if th.shape != self.a.shape[:1]:
                 raise ValueError(f"a stack of {self.a.shape[0]} curves takes "
                                  f"one parameter per curve, got shape {th.shape}")
-            return self._sums(self._rotations(th))
+            return self._sums(th)
         flat = th.ravel()
         rows = max(1, _BLOCK_ELEMENTS // max(1, self.n_terms))
         out = np.empty((4, flat.size))
         for start in range(0, flat.size, rows):
-            out[:, start:start + rows] = self._sums(self._rotations(flat[start:start + rows]))
+            out[:, start:start + rows] = self._sums(flat[start:start + rows])
         return tuple(out.reshape(4, *th.shape))
-
-    def _rotations(self, th):
-        return np.exp(1j * (np.multiply.outer(th, self.k) + self._phase))
 
     def _eval_grid(self, samples):
         if self.a.ndim == 2:

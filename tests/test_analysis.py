@@ -380,6 +380,24 @@ class TestCertify:
         assert str(err.value).startswith(f"run {run}: state diverged at step {step} ")
         assert (err.value.step, err.value.curve) == (step, run)
 
+    @pytest.mark.parametrize("runs", [1, 2])
+    @pytest.mark.parametrize("dt", [0.7, 0.29])
+    def test_horizon_ending_before_the_averaged_tail_is_refused(self, monkeypatch, runs, dt):
+        # round(1/dt) steps end at t = 0.7 or 0.87, before the tail starts at 0.9
+        monkeypatch.setattr(analysis, "integrate", None)  # no run may start
+        with pytest.raises(ValueError, match=r"^the last step ends at t = 0\.(7|87), "
+                                             r"before the averaged final 10% .* 0\.9; "):
+            certify(synth_path("circle", 16, [1.0]), NoiseSpec(0.1, 0.1, 0), 4, UNIT,
+                    SimConfig(FieldState(1.5, 0, 0), 1.0, dt), runs=runs)
+
+    @pytest.mark.parametrize("runs", [1, 2])
+    @pytest.mark.parametrize("duration, dt", [(1.0, 0.3), (2.0, 0.9)])
+    def test_coarse_step_reaching_the_averaged_tail_runs(self, runs, duration, dt):
+        report = certify(synth_path("circle", 16, [1.0]), NoiseSpec(0.1, 0.1, 0), 4, UNIT,
+                         SimConfig(FieldState(1.5, 0, 0), duration, dt), runs=runs)
+        assert len(report.e_ms_per_run) == runs
+        assert all(np.isfinite(report.e_ms_per_run))
+
     def test_zero_runs_rejected(self):
         clean = synth_path("circle", 32, [1.0])
         with pytest.raises(ValueError):

@@ -466,6 +466,26 @@ class TestCertifyAndSweep:
         assert err.startswith("error: run 1: state diverged at step 41 ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("runs", ["1", "2"])
+    @pytest.mark.parametrize("dt", ["0.7", "0.29"])
+    def test_horizon_ending_before_the_averaged_tail_fails_before_output(
+            self, tmp_path, capsys, runs, dt):
+        out = tmp_path / "out"
+        assert run(["certify", "--synth", "circle,16", "--duration", "1", "--dt", dt,
+                    "--runs", runs, "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --dt and --duration: the last step ends at t = 0.")
+        assert err.count("\n") == 1 and "before the averaged final 10%" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("runs", ["1", "2"])
+    @pytest.mark.parametrize("duration, dt", [("1", "0.3"), ("2", "0.9")])
+    def test_coarse_step_reaching_the_averaged_tail_runs(self, tmp_path, runs, duration, dt):
+        out = tmp_path / "out"
+        assert run(["certify", "--synth", "circle,16", "--duration", duration, "--dt", dt,
+                    "--runs", runs, "--out-dir", out]) == 0
+        assert len(json.loads((out / "report.json").read_text())["e_ms_per_run"]) == int(runs)
+
     def test_window_auto_resolves(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(["certify", "--synth", "circle,32", "--sigma1", "0.02",

@@ -313,20 +313,72 @@ def test_complex_coefficients_are_kept_read_only():
     assert not stack.a.flags.writeable
 
 
-def test_polar_tables_are_built_only_on_pointwise_use():
+def test_table_set_is_built_only_on_pointwise_use():
     spec = dft(random_path(64, seed=4))
     w = apply_window(spec, 10)
     spec.eval(UniformGrid(64))
     w.eval(UniformGrid(33))
     tail_energy(spec, np.arange(1, 65))
     reconstruction_mse(spec, w)
-    tables = {"_amp", "_phase", "_kamp"}
-    assert not tables & set(vars(spec)) and not tables & set(vars(w))
-    # once built they are held by the curve, read-only, for every later call
+    assert "_tables" not in vars(spec) and "_tables" not in vars(w)
+    # once built the set is held by the curve, read-only, for every later call
     w.eval_with_deriv(0.3)
-    assert tables <= set(vars(w)) and not tables & set(vars(spec))
-    assert all(not vars(w)[name].flags.writeable for name in tables)
-    assert w._amp is vars(w)["_amp"]
+    assert "_tables" in vars(w) and "_tables" not in vars(spec)
+    tables = vars(w)["_tables"]
+    assert all(not table.flags.writeable for table in tables)
+    w.eval_with_deriv(np.linspace(0.0, 7.0, 5))
+    assert w._tables is tables
+    assert tables[0].dtype == np.float64 and np.array_equal(tables[0], w.k.astype(np.float64))
+
+
+def _reference_with_deriv(k, a, th):
+    """(x, y, dx, dy) with the rotations formed from the int64 indices."""
+    amp, phase = np.abs(a), np.angle(a)
+    phase = np.where(phase <= -np.pi, phase + TWO_PI, phase)
+    w = np.exp(1j * (np.multiply.outer(th, k) + phase))
+    c, s = w.real, w.imag
+    kamp = k * amp
+    return np.vecdot(c, amp), np.vecdot(s, amp), -np.vecdot(s, kamp), np.vecdot(c, kamp)
+
+
+def _curve(k, seed):
+    rng = np.random.default_rng(seed)
+    k = np.asarray(k, dtype=np.int64)
+    return TrigPath(k, rng.normal(size=k.size) + 1j * rng.normal(size=k.size))
+
+
+_PINNED_CURVES = {
+    "K0": np.arange(0),
+    "K1": np.arange(1, 2),
+    "K101": np.arange(-50, 51),
+    "K758": np.arange(-378, 380),
+    # past 2**53 the float copy of k rounds, as numpy's promotion does
+    "huge-k": np.array([-(2**62) - 1, -3, 0, 2**53 + 1, 2**62 + 3, 2**63 - 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CURVES))
+def test_float_indices_keep_every_angle_of_the_int64_ones(name):
+    path = _curve(_PINNED_CURVES[name], seed=len(name))
+    k = path.k
+    assert k.dtype == np.int64
+    # a Python float takes the scalar branch and gives floats
+    got = path.eval_with_deriv(7.25)
+    want = _reference_with_deriv(k, path.a, 7.25 % TWO_PI)
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == np.array(want, dtype=np.float64).tobytes()
+    # a (1,) array and a block of more rows than one table holds
+    rows = trigpath._BLOCK_ELEMENTS // max(1, k.size) + 3
+    for th in (np.array([-2.5]), np.linspace(-9.0, 30.0, rows)):
+        got = path.eval_with_deriv(th)
+        want = _reference_with_deriv(k, path.a, np.mod(th, TWO_PI))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    # a 3-curve stack, one parameter per curve
+    stack = TrigPath(k, np.stack([path.a, 2.0 * path.a[::-1], -path.a]))
+    th = np.array([0.3, -4.0, 11.5])
+    got = stack.eval_with_deriv(th)
+    want = _reference_with_deriv(k, stack.a, np.mod(th, TWO_PI))
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("cls, extra", [(TrigPath, {}), (Spectrum, {"n_samples": 8})],
