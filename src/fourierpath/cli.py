@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -206,6 +207,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
+# parsing leaves a parser as it was, so each one is built once per process
+@functools.cache
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or, given ``command``, with only that
     command's flags added; every command keeps its name and help text."""

@@ -6,12 +6,21 @@ convolution with a chirp sequence (Bluestein), so the cost stays near
 O(n log n) for any n, whether q is prime (e.g. n = 758 = 2 * 379) or not.
 
 Each halving runs as one numpy pass over all of that level's
-subsequences (rows), not as one Python call per subsequence: the input is
-copied into leaf order once, every leaf is transformed together, and
-the levels are recombined bottom up.  Only one level is held at a time,
-so memory stays O(n).  Every output element still gets exactly the
-floating-point operations of the per-subsequence recursion, so the
-results are bit-identical to it.
+subsequences, not as one Python call per subsequence.  The leaves
+x[s::2**L] are copied once into the rows of a (subsequences, bins) table
+in the natural order of s (Stockham's autosort: no bit reversal), so
+every level pairs the first half of its rows, the even subsequences,
+with the second half, the odd ones, as two contiguous blocks, and leaves
+its output rows in the same order.  A level's passes run along the
+longer axis: while the subsequences outnumber the bins its output is
+stored bins-major (column order) and each pass runs across the
+subsequences; once the bins outnumber them it is stored row by row and
+each pass runs along the bins.  Only one level is held at a time, so
+memory stays O(n).  The layout moves elements, not arithmetic: every
+output bin is still odd*twiddles[k] + even[k mod q] with the same
+twiddle entry, one complex multiply and one add, so the results are
+bit-identical to the per-subsequence recursion (the tests pin this for
+lengths that switch layout at different levels).
 
 What depends on n alone is planned once per length and cached: one
 twiddle table ``exp((-2j*pi/n)*t)`` for t < n, and for q > 1 the chirp and
@@ -49,23 +58,26 @@ def _fft_rows(x: np.ndarray) -> np.ndarray:
     rows, n = x.shape
     halvings, twiddles, chirp = _plan(n)
     q = n >> halvings
-    # Leaf (r1, .., rL, j) is element r1 + 2*r2 + .. + 2**L*j of a row, the
-    # subsequence the recursion would reach by taking x[r::2] per halving.
-    leaves = x.reshape((rows, q) + (2,) * halvings)
-    out = leaves.transpose(0, *range(halvings + 1, 0, -1)).copy().reshape(-1, q)
+    # Leaf s of a row is its subsequence x[s::2**L], the one the recursion
+    # reaches by taking x[r::2] per halving, and row s*rows + row of the
+    # leaf table holds it, so each level's even subsequences fill its first
+    # half of rows and the odd ones its second half.
+    out = x.reshape(rows, q, n // q).transpose(2, 0, 1).copy().reshape(-1, q)
     if chirp is not None:
         out = _bluestein(out, *chirp)
     for level in range(halvings - 1, -1, -1):
-        out = _combine(out.reshape(-1, 2, out.shape[1]), twiddles[:: 1 << level])
+        out = _combine(out, twiddles[:: 1 << level])
     return out
 
 
 def _combine(subs: np.ndarray, twiddles: np.ndarray) -> np.ndarray:
-    # n = 2*q: recombine the transforms of the even and odd subsequences
-    # of each row, bin k from odd*twiddles[k] + even[k mod q].
-    even, odd = subs[:, 0], subs[:, 1]
-    q = even.shape[1]
-    out = np.empty((subs.shape[0], 2 * q), dtype=np.complex128)
+    # n = 2*q: recombine the transforms of the even (first half) and odd
+    # (second half) subsequences, bin k from odd*twiddles[k] + even[k mod q].
+    # Each pass runs along the longer axis: the output is stored bins-major
+    # while its subsequences outnumber its bins.
+    m, q = subs.shape
+    even, odd = subs[: m // 2], subs[m // 2 :]
+    out = np.empty((m // 2, 2 * q), dtype=np.complex128, order="F" if m > 4 * q else "C")
     for half in (slice(0, q), slice(q, 2 * q)):
         np.multiply(odd, twiddles[half], out=out[:, half])
         out[:, half] += even

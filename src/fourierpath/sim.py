@@ -118,6 +118,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate the guiding field from cfg.eta0 over cfg.duration.
 
+    The run takes ``round(duration/dt)`` steps (at least one), so it ends
+    at ``dt*round(duration/dt)``, which is not the duration when dt does
+    not divide it: duration 1 with dt 0.6 stops at t = 1.2.
+
     ``path`` is one curve, or a stack of R curves that all start from
     cfg.eta0 and are stepped together; the run axis then trails every
     array of the trajectory but ``t``.

@@ -8,6 +8,7 @@ import os
 import re
 import runpy
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -877,6 +878,35 @@ def test_every_config_field_is_a_flag_and_every_flag_a_field():
     assert set(commands) == set(cli.COMMANDS)
     for name, flags in dests.items():
         assert flags == {"config", *cli.COMMANDS[name][1]}, name
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--synth", "lissajous,64,3,2"],
+    ["reconstruct", "--synth", "lissajous,64,3,2", "--m-list", "5,full", "--samples", "32"],
+    ["sweep", "--synth", "lissajous,64,3,2", "--window-max", "20"],
+], ids=lambda argv: argv[0])
+def test_refused_command_line_leaves_no_state_for_the_next_run(tmp_path, capsys, argv):
+    # parsers are built once per process: a run after a refused command
+    # line (an unknown flag, then a bad value) gives the bytes of the run
+    # before it, and help prints the same text twice
+    out = tmp_path / "out"
+    argv = argv + ["--sigma1", "0.1", "--sigma2", "0.15", "--seed", "7", "--out-dir", out]
+    runs = []
+    for _ in range(2):
+        assert run(argv) == 0
+        runs.append((capsys.readouterr(), {p.name: p.read_bytes() for p in out.iterdir()}))
+        shutil.rmtree(out)
+        assert run(argv + ["--no-such-flag", "3"]) == 1
+        assert run(argv + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err.count("error:") == 2
+        assert not out.exists()
+    assert runs[0] == runs[1]
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            run([argv[0], "--help"])
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1]
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))

@@ -65,19 +65,33 @@ def _recursive_fft(x):
     return conv[:n] * b
 
 
-@pytest.mark.parametrize("n", list(range(1, 65)) + [379, 758, 1031, 2062, 4096, 8198])
+# Each level runs bins-major while its subsequences outnumber its bins and
+# subsequence-major after, so these lengths switch layout at different
+# levels: pure halvings up to 2**17, and leaves of 3 and 1031 points halved.
+_SWITCHING = [2**L for L in range(18)] + [3 * 2**L for L in range(9)] + [1031 * 2**L for L in range(4)]
+
+
+@pytest.mark.parametrize(
+    "n", sorted(set(range(1, 65)) | {379, 758, 1031, 2062, 4096, 8198} | set(_SWITCHING))
+)
 def test_bits_match_the_per_subsequence_recursion(n):
     x = _random_signal(n, 17 * n)
     assert fft(x).tobytes() == _recursive_fft(x).tobytes()
 
 
-# pure halvings, and chirp leaves (prime or composite) alone and halved
-@pytest.mark.parametrize("n", [2, 59, 105, 243, 379, 758, 1024, 2062])
+# pure halvings, and chirp leaves (prime or composite) alone and halved;
+# a batch holds rows * 2**L subsequences per level, so its row count moves
+# the level where the layout switches
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 8, 59, 96, 105, 243, 379, 758, 1024, 1031, 2062, 4096, 1 << 15]
+)
 def test_rows_transform_independently(n):
     x = np.stack([_random_signal(n, 31 * n + row) for row in range(5)])
-    got = _fft_rows(x)
-    for row in range(5):
-        assert got[row].tobytes() == _fft_rows(x[row:row + 1])[0].tobytes()
+    for rows in (1, 2, 3, 5):
+        got = _fft_rows(x[:rows])
+        assert got.shape == (rows, n)
+        for row in range(rows):
+            assert got[row].tobytes() == fft(x[row]).tobytes()
 
 
 # peak over the input's bytes: the level-at-once transform holds O(n),
