@@ -12,7 +12,8 @@ width or an array of widths, so ``window_sweep`` and ``select_window``
 get the bound for every width in 1..m_max in one pass: the tails come
 from a single sort of the spectrum by window entry width (see
 ``spectrum.tail_energy``).  ``certify`` measures the ultimate mean-square
-following error across noise seeds and reports it against this bound.
+following error, over the final 10% of the horizon, across noise seeds
+and reports it against this bound.
 ``reconstruction_mse`` integrates the squared gap between two curves
 exactly, by Parseval's identity, from their coefficients; no curve is
 sampled.
@@ -34,7 +35,7 @@ import numpy as np
 
 from .gvf import GvfParams
 from .pathdata import NoiseSpec, PathSamples, add_noise
-from .sim import IntegrationError, SimConfig, _n_steps, _squared_error, integrate
+from .sim import IntegrationError, SimConfig, integrate
 from .spectrum import Spectrum, apply_window, checked_widths, dft, tail_energy
 from .trigpath import TrigPath
 
@@ -51,8 +52,9 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 # most trajectory rows (steps + 1 per run) and most curve terms (K per run)
-# one certify batch holds: about 15 MB of trajectory arrays, and complex
-# R x K tables of 4 MB at every step; a run past either bound goes alone
+# one certify batch steps: it keeps the final 10% of the rows, about 1.7 MB
+# of arrays (15 MB if it kept them all), and forms complex R x K tables of
+# 4 MB at every step; a run past either bound goes alone
 _ROW_BUDGET = 1 << 18
 
 
@@ -197,10 +199,11 @@ def certify(
 
     The runs are integrated together, as one stack of curves (see
     :func:`~fourierpath.sim.integrate`), in batches of as many runs as fit
-    in ``_ROW_BUDGET`` recorded rows and ``_ROW_BUDGET`` curve terms, and
-    at least one.  The reference curve is evaluated only on the averaged
-    final-10% rows.  Each run's value is the one integrating it alone
-    gives, bit for bit.  When a run diverges, :class:`IntegrationError`
+    in ``_ROW_BUDGET`` rows (steps + 1 per run) and ``_ROW_BUDGET`` curve
+    terms, and at least one.  Each batch keeps only the averaged final-10%
+    rows, and V1 and the error against the reference curve are formed on
+    those alone.  Each run's value is the one integrating it alone gives,
+    bit for bit.  When a run diverges, :class:`IntegrationError`
     names it: of the first batch with a diverging run, the run that
     diverges first, ties going to the lowest index.
 
@@ -209,13 +212,12 @@ def certify(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    tail_start = _tail_start(cfg)
     clean_spec = dft(clean)
     delta = p_bar(clean_spec, m, noise.sigma1, noise.sigma2)
     seeds = np.random.SeedSequence(int(noise.seed)).generate_state(runs, dtype=np.uint64)
     # every run's curve has the terms of the clean spectrum's window
     terms = apply_window(clean_spec, m).k.size
-    batch = max(1, _ROW_BUDGET // max(_n_steps(cfg) + 1, terms))
+    batch = max(1, _ROW_BUDGET // max(cfg.steps + 1, terms))
 
     e_runs: list[float] = []
     p_runs: list[float] = []
@@ -227,14 +229,13 @@ def certify(
         stack = (TrigPath(followed[0].k, np.stack([path.a for path in followed]))
                  if len(followed) > 1 else followed[0])
         try:
-            traj = integrate(stack, params, cfg)
+            # the rows of the final 10%; 1e-12 keeps one whose t rounds below 0.9*duration
+            traj = integrate(stack, params, cfg, clean_spec, 0.9 * cfg.duration - 1e-12)
         except IntegrationError as exc:
             run = first + (exc.curve or 0)
             raise IntegrationError(exc.step, f"run {run}: {exc}", run) from exc
-        tail = traj.t >= tail_start
-        e_tail = _squared_error(clean_spec, traj.x[tail], traj.y[tail], traj.theta[tail])
         # one contiguous row per run, averaged like a lone run's column
-        e_tail = e_tail.reshape(len(e_tail), -1)
+        e_tail = traj.e_inst.reshape(traj.n_rows, -1)
         e_runs.extend(float(np.mean(e)) for e in np.ascontiguousarray(e_tail.T))
         p_runs.extend(reconstruction_mse(clean_spec, path) for path in followed)
 
@@ -249,21 +250,6 @@ def certify(
         e_ms_per_run=tuple(e_runs),
         runs=runs,
     )
-
-
-def _tail_start(cfg: SimConfig) -> float:
-    """Where the final 10% of the horizon that :func:`certify` averages starts.
-
-    ``integrate`` records rows at ``t = dt*i`` for i up to the rounded
-    duration/dt, so a coarse dt can end the last step before that start;
-    such a horizon averages no row, and is refused.
-    """
-    start = 0.9 * cfg.duration - 1e-12
-    end = cfg.dt * _n_steps(cfg)
-    if end < start:
-        raise ValueError(f"the last step ends at t = {end:g}, before the averaged final "
-                         f"10% of the duration starts at t = {start:g}; a smaller dt reaches it")
-    return start
 
 
 def _widths_up_to(spec: Spectrum, m_max: int) -> np.ndarray:

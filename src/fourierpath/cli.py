@@ -299,9 +299,7 @@ def _check_options(cfg: RunConfig) -> None:
     # the constructors validate their own fields
     _noise(cfg)
     _params(cfg)
-    sim_cfg = _sim_config(cfg)
-    if cfg.command == "certify":
-        _named("--dt and --duration", analysis._tail_start, sim_cfg)
+    _sim_config(cfg)
 
 
 def _widths(cfg: RunConfig) -> list[tuple[str, int]]:

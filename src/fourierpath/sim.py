@@ -1,7 +1,8 @@
 """Fixed-step integration of the closed loop state' = chi(state).
 
-The step loop takes classic fourth-order Runge-Kutta steps and records the
-state and the curve offsets at every step.  The state is one value per
+The step loop takes classic fourth-order Runge-Kutta steps from t = 0 to
+the duration, which dt divides, and records the state and the curve
+offsets at every step from a given time on.  The state is one value per
 component, x, y and theta, and each RK4 formula is applied to each
 component alone.  The quadratic energy V1 and the squared distance to a
 reference curve are computed from those rows once the loop ends, so
@@ -35,8 +36,8 @@ _DIVERGENCE_LIMIT = 1e12
 # recorded rows whose range is checked at once; a diverging run steps at
 # most this many rows past the divergence before it is reported
 _CHECK_ROWS = 256
-# most RK4 steps a run may take, a memory guard rail: every step is recorded,
-# and a simulate's peak resident memory grows by up to about 80 B per step
+# most RK4 steps a run may take, a memory guard rail: a simulate keeps every
+# step's row, and its peak resident memory grows by up to about 80 B per step
 # (with or without noise, 16 or 4100 terms), so the largest run the cap
 # admits, about 3.2 GB of rows, stays within 3.6 GB
 _STEP_LIMIT = 4 * 10**7
@@ -56,7 +57,7 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Initial state, horizon and step size for one run."""
+    """Initial state, horizon and step size for one run; dt divides the horizon."""
 
     eta0: FieldState
     duration: float
@@ -69,9 +70,18 @@ class SimConfig:
             raise ValueError("dt must be finite and > 0")
         if self.dt > self.duration:
             raise ValueError("dt must not exceed duration")
-        if self.duration / self.dt > _STEP_LIMIT:
+        ratio = self.duration / self.dt
+        if ratio > _STEP_LIMIT:
             raise ValueError(f"duration/dt must be at most {_STEP_LIMIT:g}, "
                              "the most steps a run may take")
+        # a relative 1e-9 is far above decimal rounding: 0.3/0.1 is 2.9999999999999996
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            raise ValueError(f"dt must divide duration; duration/dt is {ratio:.12g}")
+
+    @property
+    def steps(self) -> int:
+        """RK4 steps of a run; its last row is at t = dt*steps, the duration."""
+        return round(self.duration / self.dt)
 
 
 @dataclass(eq=False)
@@ -115,12 +125,13 @@ def integrate(
     params: GvfParams,
     cfg: SimConfig,
     truth: TrigPath | None = None,
+    since: float = 0.0,
 ) -> Trajectory:
     """Integrate the guiding field from cfg.eta0 over cfg.duration.
 
-    The run takes ``round(duration/dt)`` steps (at least one), so it ends
-    at ``dt*round(duration/dt)``, which is not the duration when dt does
-    not divide it: duration 1 with dt 0.6 stops at t = 1.2.
+    The run takes ``cfg.steps`` steps, its rows at ``t = dt*i`` ending at
+    the duration, and keeps only the rows at ``t >= since`` (at most the
+    last row's t); the rows before are checked but held one block at a time.
 
     ``path`` is one curve, or a stack of R curves that all start from
     cfg.eta0 and are stepped together; the run axis then trails every
@@ -130,7 +141,7 @@ def integrate(
     e_inst = (x - x_ref(theta))^2 + (y - y_ref(theta))^2, evaluated at the
     trajectory's own parameter in row chunks after the loop.  When omitted,
     the followed path itself is the reference, in which case
-    e_inst = phi1^2 + phi2^2.
+    e_inst = phi1^2 + phi2^2.  V1 and e_inst are formed on the kept rows.
 
     The state is stepped one component at a time: x, y and theta are
     floats for one curve and (R,) arrays for a stack.
@@ -141,16 +152,22 @@ def integrate(
     the one that diverges first, ties going to the lowest index.  The range
     is checked once per block of ``_CHECK_ROWS`` recorded rows, so the loop
     may step up to one block past the divergence before it raises; the
-    reported step is exact.
+    reported step is exact, kept or not.
     """
-    n_steps = _n_steps(cfg)
-    dt = cfg.dt
+    n_steps, dt = cfg.steps, cfg.dt
+    if not since <= dt * n_steps:
+        raise ValueError(f"since must be at most the last row's t = {dt * n_steps:g}")
+    # the first kept row; dt*i rounds monotonically in i
+    first = max(0, math.ceil(max(since, 0.0) / dt) - 1)
+    while dt * first < since:
+        first += 1
 
-    t = dt * np.arange(n_steps + 1)
+    t = dt * np.arange(first, n_steps + 1)
     # () for one curve, (R,) for a stack of R
     runs = path.a.shape[:-1]
-    # one row (x, y, theta, phi1, phi2) per step
-    rows = np.empty((n_steps + 1, 5, *runs))
+    # rows (x, y, theta, phi1, phi2) fill a block, checked at once; kept ones are copied out
+    block = np.empty((_CHECK_ROWS, 5, *runs))
+    kept = np.empty((t.size, 5, *runs))
 
     # one value per component: floats for one curve, (R,) arrays for a stack
     x, y, th = (np.full(runs, float(v)) if runs else float(v)
@@ -159,14 +176,17 @@ def integrate(
     if runs:
         # numpy scales an (R,) array by a 0-d array faster than by a float
         dt, h, sixth, two = (np.array(v) for v in (dt, h, sixth, two))
-    checked = 1  # rows before this one are known to be in range
+    start = 0  # the row block[0] holds
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps + 1):
             phi1, phi2, _, _, (ax, ay, at) = _field_terms(path, x, y, th, params)
-            rows[i] = (x, y, th, phi1, phi2)
-            if i == n_steps or i - checked == _CHECK_ROWS - 1:
-                _check_bounded(rows, checked, i + 1, t)
-                checked = i + 1
+            block[i - start] = (x, y, th, phi1, phi2)
+            if i == n_steps or i - start == _CHECK_ROWS - 1:
+                _check_bounded(block[:i + 1 - start], start, cfg.dt)
+                if i >= first:
+                    lo = max(start, first)
+                    kept[lo - first:i + 1 - first] = block[lo - start:i + 1 - start]
+                start = i + 1
             if i == n_steps:
                 break
 
@@ -177,7 +197,7 @@ def integrate(
             y = y + sixth * (ay + two * by + two * cy + dy)
             th = th + sixth * (at + two * bt + two * ct + dth)
 
-    x, y, theta, phi1, phi2 = np.moveaxis(rows, 1, 0)
+    x, y, theta, phi1, phi2 = np.moveaxis(kept, 1, 0)
     v1 = params.k1 * phi1 * phi1 + params.k2 * phi2 * phi2
     if truth is None:
         e_inst = phi1 * phi1 + phi2 * phi2
@@ -186,26 +206,21 @@ def integrate(
     return Trajectory(t, x, y, theta, phi1, phi2, v1, e_inst)
 
 
-def _check_bounded(rows, start: int, stop: int, t) -> None:
-    """Raise :class:`IntegrationError` at the first of rows start..stop-1
-    whose state left the finite range, naming the lowest such curve of a stack."""
+def _check_bounded(rows, start: int, dt: float) -> None:
+    """Raise :class:`IntegrationError` at the first of ``rows``, the run's rows from
+    ``start`` on, out of the finite range, naming the lowest such curve of a stack."""
     # false for NaN too
-    bounded = np.all(np.abs(rows[start:stop, :3]) <= _DIVERGENCE_LIMIT, axis=1)
+    bounded = np.all(np.abs(rows[:, :3]) <= _DIVERGENCE_LIMIT, axis=1)
     if bounded.all():
         return
-    first = int(np.argmin(bounded.reshape(stop - start, -1).all(axis=1)))
+    first = int(np.argmin(bounded.reshape(len(rows), -1).all(axis=1)))
     step = start + first
     raise IntegrationError(
         step,
-        f"state diverged at step {step} (t = {t[step]:g}); "
+        f"state diverged at step {step} (t = {dt * step:g}); "
         "dt is too large for these gains",
         int(np.argmin(bounded[first])) if bounded.ndim == 2 else None,
     )
-
-
-def _n_steps(cfg: SimConfig) -> int:
-    """RK4 steps :func:`integrate` takes; it records one more row."""
-    return max(1, int(round(cfg.duration / cfg.dt)))
 
 
 def _squared_error(truth: TrigPath, x, y, theta):

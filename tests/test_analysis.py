@@ -383,20 +383,37 @@ class TestCertify:
     @pytest.mark.parametrize("runs", [1, 2])
     @pytest.mark.parametrize("dt", [0.7, 0.29])
     def test_horizon_ending_before_the_averaged_tail_is_refused(self, monkeypatch, runs, dt):
-        # round(1/dt) steps end at t = 0.7 or 0.87, before the tail starts at 0.9
+        # rounded to whole steps, these would end at t = 0.7 or 0.87, before
+        # the tail starts at 0.9; a dt that does not divide the duration is refused
         monkeypatch.setattr(analysis, "integrate", None)  # no run may start
-        with pytest.raises(ValueError, match=r"^the last step ends at t = 0\.(7|87), "
-                                             r"before the averaged final 10% .* 0\.9; "):
+        with pytest.raises(ValueError, match=r"^dt must divide duration; "
+                                             r"duration/dt is (1\.42857142857|3\.44827586207)$"):
             certify(synth_path("circle", 16, [1.0]), NoiseSpec(0.1, 0.1, 0), 4, UNIT,
                     SimConfig(FieldState(1.5, 0, 0), 1.0, dt), runs=runs)
 
     @pytest.mark.parametrize("runs", [1, 2])
     @pytest.mark.parametrize("duration, dt", [(1.0, 0.3), (2.0, 0.9)])
-    def test_coarse_step_reaching_the_averaged_tail_runs(self, runs, duration, dt):
-        report = certify(synth_path("circle", 16, [1.0]), NoiseSpec(0.1, 0.1, 0), 4, UNIT,
-                         SimConfig(FieldState(1.5, 0, 0), duration, dt), runs=runs)
-        assert len(report.e_ms_per_run) == runs
-        assert all(np.isfinite(report.e_ms_per_run))
+    def test_coarse_step_not_dividing_the_duration_is_refused(self, monkeypatch, runs,
+                                                              duration, dt):
+        # rounded to whole steps, these would end at t = 0.9 or 1.8, past
+        # the tail's start but short of the duration
+        monkeypatch.setattr(analysis, "integrate", None)  # no run may start
+        with pytest.raises(ValueError, match=r"^dt must divide duration; "
+                                             r"duration/dt is (3\.33333333333|2\.22222222222)$"):
+            certify(synth_path("circle", 16, [1.0]), NoiseSpec(0.1, 0.1, 0), 4, UNIT,
+                    SimConfig(FieldState(1.5, 0, 0), duration, dt), runs=runs)
+
+    @pytest.mark.parametrize("runs", [1, 2])
+    @pytest.mark.parametrize("duration, dt", [(1.0, 0.25), (1.0, 0.1)])
+    def test_coarse_dividing_step_averages_the_rows_in_the_tail(self, runs, duration, dt):
+        # the tail from t = 0.9 holds the last row, or the last two
+        noise = NoiseSpec(0.1, 0.15, 3)
+        cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration, dt)
+        report = certify(self.LISSAJOUS, noise, 16, UNIT, cfg, runs=runs)
+        lone = [traj for _, traj in self.lone_runs(noise, runs, UNIT, cfg)]
+        assert report.e_ms_per_run == tuple(float(np.mean(traj.e_inst[traj.t >= 0.9 - 1e-12]))
+                                            for traj in lone)
+        assert np.sum(lone[0].t >= 0.9 - 1e-12) == (1 if dt == 0.25 else 2)
 
     def test_zero_runs_rejected(self):
         clean = synth_path("circle", 32, [1.0])

@@ -400,6 +400,34 @@ class TestSimulate:
             f"error: duration/dt must be at most {cap:g}, the most steps a run may take\n")
         assert not out.exists()
 
+    # certify's other such horizons are in TestCertifyAndSweep
+    @pytest.mark.parametrize("command, duration, dt", [
+        *(("simulate", "1", dt) for dt in ("0.7", "0.29", "0.3", "0.6")),
+        ("simulate", "2", "0.9"), ("certify", "1", "0.6")])
+    def test_dt_not_dividing_the_duration_fails_before_output(self, tmp_path, capsys,
+                                                               command, duration, dt):
+        out = tmp_path / "out"
+        assert run([command, "--synth", "circle,16", "--duration", duration, "--dt", dt,
+                    "--out-dir", out]) == 1
+        ratio = float(duration) / float(dt)
+        assert capsys.readouterr().err == (
+            f"error: dt must divide duration; duration/dt is {ratio:.12g}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "certify"])
+    @pytest.mark.parametrize("duration, dt, rows", [("3", "1e-3", 3001), ("0.3", "0.1", 4),
+                                                    ("2", "2e-3", 1001), ("0.1", "0.01", 11)])
+    def test_dt_dividing_the_duration_runs_to_it(self, tmp_path, capsys, command,
+                                                 duration, dt, rows):
+        out = tmp_path / "out"
+        runs = ["--runs", "1"] if command == "certify" else []
+        assert run([command, "--synth", "circle,16", "--duration", duration, "--dt", dt,
+                    *runs, "--out-dir", out]) == 0
+        if command == "simulate":
+            assert capsys.readouterr().out.startswith(f"rows={rows} ")
+            last = (out / "trajectory.csv").read_text().splitlines()[-1]
+            assert float(last.split(",")[0]) == pytest.approx(float(duration), rel=1e-12)
+
     def test_absurd_step_fails_with_context(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run(["simulate", "--synth", "lissajous,758,3,2", "--sigma1", "0.2",
@@ -471,21 +499,27 @@ class TestCertifyAndSweep:
     @pytest.mark.parametrize("dt", ["0.7", "0.29"])
     def test_horizon_ending_before_the_averaged_tail_fails_before_output(
             self, tmp_path, capsys, runs, dt):
+        # rounded to whole steps, the run would end at t = 0.7 or 0.87
         out = tmp_path / "out"
         assert run(["certify", "--synth", "circle,16", "--duration", "1", "--dt", dt,
                     "--runs", runs, "--out-dir", out]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: --dt and --duration: the last step ends at t = 0.")
-        assert err.count("\n") == 1 and "before the averaged final 10%" in err
+        assert err.startswith("error: dt must divide duration; ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("runs", ["1", "2"])
     @pytest.mark.parametrize("duration, dt", [("1", "0.3"), ("2", "0.9")])
-    def test_coarse_step_reaching_the_averaged_tail_runs(self, tmp_path, runs, duration, dt):
+    def test_coarse_step_not_dividing_the_duration_fails_before_output(
+            self, tmp_path, capsys, runs, duration, dt):
+        # rounded to whole steps, the run would end at t = 0.9 or 1.8
         out = tmp_path / "out"
         assert run(["certify", "--synth", "circle,16", "--duration", duration, "--dt", dt,
-                    "--runs", runs, "--out-dir", out]) == 0
-        assert len(json.loads((out / "report.json").read_text())["e_ms_per_run"]) == int(runs)
+                    "--runs", runs, "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dt must divide duration; ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_window_auto_resolves(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -46,7 +46,7 @@ def stacked(curves):
 def array_state_rk4(path, params, cfg):
     """Rows ``(t, x, y, theta, phi1, phi2)`` of the RK4 loop that stepped the
     state as one (3,) or (3, R) array, with no divergence check."""
-    dt, n = cfg.dt, sim._n_steps(cfg)
+    dt, n = cfg.dt, cfg.steps
     runs = path.a.shape[:-1]
     rows = np.empty((n + 1, 5, *runs))
     s = np.empty((3, *runs))
@@ -166,12 +166,13 @@ class TestIntegrate:
         # is first, tied with curve 2
         _, curves = noisy_curves([0, 1, 2, 3], sigma=0.3)
         params = GvfParams(8.0, 8.0)
-        cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=40.0, dt=0.45)
+        cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=40.5, dt=0.45)
         first = []
         for r, curve in enumerate(curves):
             with pytest.raises(IntegrationError) as err:
                 integrate(curve, params, cfg)
             first.append((err.value.step, r))
+        assert [step for step, _ in first] == [23, 22, 22, 23]
         with pytest.raises(IntegrationError, match="dt") as err:
             integrate(stacked(curves), params, cfg)
         assert (err.value.step, err.value.curve) == min(first)
@@ -232,13 +233,64 @@ class TestIntegrate:
             return _field_terms(*args)
 
         monkeypatch.setattr(sim, "_field_terms", counted)
-        with pytest.raises(IntegrationError) as err:
-            integrate(path, params, cfg)
-        assert (err.value.step, err.value.curve) == (step, curve)
-        assert str(err.value) == (f"state diverged at step {step} (t = {t[step]:g}); "
-                                  "dt is too large for these gains")
-        # four field evaluations per step, and at most one block past the divergence
-        assert calls <= 4 * (step + sim._CHECK_ROWS - 1) + 1
+        # keeping every row, or only the last, past the divergence
+        for since in (0.0, t[-1]):
+            calls = 0
+            with pytest.raises(IntegrationError) as err:
+                integrate(path, params, cfg, since=since)
+            assert (err.value.step, err.value.curve) == (step, curve)
+            assert str(err.value) == (f"state diverged at step {step} (t = {t[step]:g}); "
+                                      "dt is too large for these gains")
+            # four field evaluations per step, and at most one block past the divergence
+            assert calls <= 4 * (step + sim._CHECK_ROWS - 1) + 1
+
+    @pytest.mark.parametrize("case", ["lone-758-truth", "stack"])
+    def test_since_keeps_the_rows_of_the_full_run_from_it(self, case):
+        clean = synth_path("lissajous", 758, [3, 2])
+        if case == "stack":
+            truth, curves = noisy_curves([1, 2, 3], sigma=0.1)
+            path = stacked(curves)
+        else:
+            truth, path = dft(clean), dft(add_noise(clean, NoiseSpec(0.1, 0.15, 1)))
+        params = GvfParams(1.0, 2.0)
+        cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=0.3, dt=1e-3)
+        full = integrate(path, params, cfg, truth=truth)
+        t = full.t
+        # from the start, between rows mid-block, at the rows either side of
+        # a block edge, and at the last row
+        for since in (0.0, 0.5 * (t[100] + t[101]), t[255], t[256], t[257], t[-1]):
+            kept = full.t >= since
+            part = integrate(path, params, cfg, truth=truth, since=since)
+            assert part.n_rows == np.count_nonzero(kept) >= 1
+            for name in ("t", "x", "y", "theta", "phi1", "phi2", "v1", "e_inst"):
+                assert np.array_equal(getattr(part, name), getattr(full, name)[kept]), name
+
+    @pytest.mark.parametrize("since", [np.nan, 0.3 + 1e-9, np.inf])
+    def test_since_past_the_last_row_is_refused(self, unit_epicycle, since):
+        cfg = SimConfig(FieldState(1.0, 0.0, 0.0), duration=0.3, dt=1e-3)
+        with pytest.raises(ValueError, match=r"^since must be at most the last row's t = 0\.3$"):
+            integrate(unit_epicycle, UNIT, cfg, since=since)
+
+    def test_since_keeps_memory_to_its_rows(self):
+        # a 5 s run at dt 1e-3 keeping its final 10%, on a one-term curve
+        # against a one-term reference: measured 90 KB at the peak, 32 KB of
+        # it the kept rows, 10 KB one block, the rest the reference's chunk
+        # (256 B a row, as in test_error_memory_is_one_chunk_past_its_output)
+        # and the loop's own; keeping every row took 694 KB
+        truth, path = TrigPath(k=[1], a=[1.0]), TrigPath(k=[1], a=[1.02])
+        cfg = SimConfig(FieldState(1.0, 0.0, 0.0), duration=5.0, dt=1e-3)
+        integrate(path, UNIT, SimConfig(cfg.eta0, 0.01, 1e-3), truth=truth)  # warm up
+        tracemalloc.start()
+        try:
+            traj = integrate(path, UNIT, cfg, truth=truth, since=0.9 * cfg.duration)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(getattr(traj, name).nbytes
+                   for name in ("t", "x", "y", "theta", "phi1", "phi2", "v1", "e_inst"))
+        assert traj.n_rows == 501
+        block = sim._CHECK_ROWS * 5 * 8
+        assert peak - kept <= block + 256 * traj.n_rows
 
     def test_error_against_reference_curve(self):
         clean = synth_path("circle", 64, [1.0])
@@ -332,10 +384,25 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(FieldState(0, 0, 0), duration=1e6, dt=1e-3)
 
+    @pytest.mark.parametrize("duration, dt, steps", [
+        (3.0, 1e-3, 3000), (0.3, 0.1, 3), (2.0, 2e-3, 1000), (0.1, 0.01, 10),
+        (sim._STEP_LIMIT * 1e-3, 1e-3, sim._STEP_LIMIT)])
+    def test_dt_dividing_the_duration_ends_the_run_there(self, duration, dt, steps):
+        cfg = SimConfig(FieldState(0, 0, 0), duration=duration, dt=dt)
+        assert cfg.steps == steps
+        assert dt * cfg.steps == pytest.approx(duration, rel=1e-15)
+
+    @pytest.mark.parametrize("duration, dt", [(1.0, 0.7), (1.0, 0.29), (1.0, 0.3),
+                                              (1.0, 0.6), (2.0, 0.9), (1.0, 1e-3 + 1e-11)])
+    def test_dt_not_dividing_the_duration_is_refused(self, duration, dt):
+        with pytest.raises(ValueError, match=f"^dt must divide duration; "
+                                             f"duration/dt is {duration / dt:.12g}$"):
+            SimConfig(FieldState(0, 0, 0), duration=duration, dt=dt)
+
     @pytest.mark.parametrize("dt", [1.0, 1e-3])
     def test_step_cap_is_admitted_and_one_step_past_it_refused(self, dt):
         cap = sim._STEP_LIMIT
-        assert sim._n_steps(SimConfig(FieldState(0, 0, 0), duration=cap * dt, dt=dt)) == cap
+        assert SimConfig(FieldState(0, 0, 0), duration=cap * dt, dt=dt).steps == cap
         with pytest.raises(ValueError, match=re.escape(f"duration/dt must be at most {cap:g}, ")):
             SimConfig(FieldState(0, 0, 0), duration=(cap + 1) * dt, dt=dt)
 
