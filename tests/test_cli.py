@@ -509,6 +509,19 @@ class TestCertifyAndSweep:
         assert not out.exists()
 
     @pytest.mark.parametrize("runs", ["1", "2"])
+    @pytest.mark.parametrize("tail_rows, dt", [(1, "0.3"), (2, "0.9")])
+    def test_coarse_step_reaching_the_averaged_tail_runs(self, tmp_path, runs, tail_rows, dt):
+        # 3 steps of 0.3 leave one row at t >= 0.9*duration, 10 steps of 0.9 leave two
+        steps = 3 if tail_rows == 1 else 10
+        duration = f"{steps * float(dt):g}"
+        assert sum(k * float(dt) >= 0.9 * float(duration) - 1e-12
+                   for k in range(steps + 1)) == tail_rows
+        out = tmp_path / "out"
+        assert run(["certify", "--synth", "circle,16", "--duration", duration, "--dt", dt,
+                    "--runs", runs, "--out-dir", out]) == 0
+        assert len(json.loads((out / "report.json").read_text())["e_ms_per_run"]) == int(runs)
+
+    @pytest.mark.parametrize("runs", ["1", "2"])
     @pytest.mark.parametrize("duration, dt", [("1", "0.3"), ("2", "0.9")])
     def test_coarse_step_not_dividing_the_duration_fails_before_output(
             self, tmp_path, capsys, runs, duration, dt):
