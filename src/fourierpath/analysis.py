@@ -51,10 +51,10 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-# most trajectory rows (steps + 1 per run) and most curve terms (K per run)
-# one certify batch steps: it keeps the final 10% of the rows, about 1.7 MB
-# of arrays (15 MB if it kept them all), and forms complex R x K tables of
-# 4 MB at every step; a run past either bound goes alone
+# most kept rows (the final 10% of each run's) and most curve terms (K per
+# run) one certify batch holds: at 56 B a kept row its arrays stay under
+# 15 MB, and the complex R x K tables it forms at every step under 4 MB; a
+# run past either bound goes alone
 _ROW_BUDGET = 1 << 18
 
 
@@ -199,13 +199,13 @@ def certify(
 
     The runs are integrated together, as one stack of curves (see
     :func:`~fourierpath.sim.integrate`), in batches of as many runs as fit
-    in ``_ROW_BUDGET`` rows (steps + 1 per run) and ``_ROW_BUDGET`` curve
-    terms, and at least one.  Each batch keeps only the averaged final-10%
-    rows, and V1 and the error against the reference curve are formed on
-    those alone.  Each run's value is the one integrating it alone gives,
-    bit for bit.  When a run diverges, :class:`IntegrationError`
-    names it: of the first batch with a diverging run, the run that
-    diverges first, ties going to the lowest index.
+    in ``_ROW_BUDGET`` kept rows and ``_ROW_BUDGET`` curve terms, and at
+    least one.  Each batch keeps only the averaged final-10% rows, and V1
+    and the error against the reference curve are formed on those alone.
+    Each run's value is the one integrating it alone gives, bit for bit.
+    When a run diverges, :class:`IntegrationError` names it: of the first
+    batch with a diverging run, the run that diverges first, ties going to
+    the lowest index.
 
     Run seeds derive deterministically from ``noise.seed`` via numpy's
     SeedSequence, so a fixed master seed reproduces the report exactly.
@@ -215,9 +215,11 @@ def certify(
     clean_spec = dft(clean)
     delta = p_bar(clean_spec, m, noise.sigma1, noise.sigma2)
     seeds = np.random.SeedSequence(int(noise.seed)).generate_state(runs, dtype=np.uint64)
-    # every run's curve has the terms of the clean spectrum's window
-    terms = apply_window(clean_spec, m).k.size
-    batch = max(1, _ROW_BUDGET // max(cfg.steps + 1, terms))
+    # the rows of the final 10%; 1e-12 keeps one whose t rounds below 0.9*duration
+    since = 0.9 * cfg.duration - 1e-12
+    # a run keeps those rows, and its curve has the terms of the clean spectrum's window
+    kept, terms = cfg.steps - cfg.first_row(since) + 1, apply_window(clean_spec, m).k.size
+    batch = max(1, _ROW_BUDGET // max(kept, terms))
 
     e_runs: list[float] = []
     p_runs: list[float] = []
@@ -229,8 +231,7 @@ def certify(
         stack = (TrigPath(followed[0].k, np.stack([path.a for path in followed]))
                  if len(followed) > 1 else followed[0])
         try:
-            # the rows of the final 10%; 1e-12 keeps one whose t rounds below 0.9*duration
-            traj = integrate(stack, params, cfg, clean_spec, 0.9 * cfg.duration - 1e-12)
+            traj = integrate(stack, params, cfg, clean_spec, since)
         except IntegrationError as exc:
             run = first + (exc.curve or 0)
             raise IntegrationError(exc.step, f"run {run}: {exc}", run) from exc

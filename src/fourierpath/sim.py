@@ -83,6 +83,13 @@ class SimConfig:
         """RK4 steps of a run; its last row is at t = dt*steps, the duration."""
         return round(self.duration / self.dt)
 
+    def first_row(self, since: float) -> int:
+        """Index of a run's first row at t >= since; dt*i rounds monotonically in i."""
+        first = max(0, math.ceil(max(since, 0.0) / self.dt) - 1)
+        while self.dt * first < since:
+            first += 1
+        return first
+
 
 @dataclass(eq=False)
 class Trajectory:
@@ -157,11 +164,7 @@ def integrate(
     n_steps, dt = cfg.steps, cfg.dt
     if not since <= dt * n_steps:
         raise ValueError(f"since must be at most the last row's t = {dt * n_steps:g}")
-    # the first kept row; dt*i rounds monotonically in i
-    first = max(0, math.ceil(max(since, 0.0) / dt) - 1)
-    while dt * first < since:
-        first += 1
-
+    first = cfg.first_row(since)
     t = dt * np.arange(first, n_steps + 1)
     # () for one curve, (R,) for a stack of R
     runs = path.a.shape[:-1]
@@ -227,8 +230,9 @@ def _squared_error(truth: TrigPath, x, y, theta):
     """Squared distance from (x, y) to the point of ``truth`` at theta.
 
     The reference is evaluated _ERROR_CHUNK_ROWS rows at a time, so its
-    points and wrapped parameters stay one chunk however long the run; a
-    curve point rounds alike in a chunk of any height.
+    points and wrapped parameters stay one chunk however long the run; its
+    recurrence for arrays (not the step loop's table of terms) rounds a
+    point alike in a chunk of any height and in any column of a stack.
     """
     e = np.empty_like(x)
     for start in range(0, len(theta), _ERROR_CHUNK_ROWS):

@@ -3,12 +3,14 @@
 A curve is the finite sum ``x(th) + i*y(th) = sum a_k*exp(i*k*th)`` of its
 complex coefficients.  A spectrum (``spectrum.Spectrum``) is such a curve,
 with the transform's coefficients as its terms, so a full N-point spectrum
-passes through the data samples at ``th = 2*pi*n/N``.  At arbitrary
-parameters the point and its derivative come from one shared trig
-evaluation of the polar form ``x = sum |a_k|*cos(k*th + arg a_k)``,
-``y = sum |a_k|*sin(k*th + arg a_k)``, O(K) per parameter for K terms.
-Evaluation wraps th mod 2*pi, so the curve is 2*pi-periodic and stays
-accurate for large unwrapped parameters.
+passes through the data samples at ``th = 2*pi*n/N``.  A scalar parameter,
+or a stack (the step loop), takes a table of terms: one shared trig
+evaluation of ``x = sum |a_k|*cos(k*th + arg a_k)``, ``y = sum |a_k|*sin(...)``.
+An array on one curve takes Horner's rule in ``w = exp(i*th)`` (in conj(w)
+for k < 0): each point is the same whatever the array's shape, within
+``4*eps*sum (1+|k|)*|a_k|`` of the exact sum (``|k*a_k|`` for the derivative).  Both are O(K) per
+parameter for K terms.  Evaluation wraps th mod 2*pi, so the curve is
+2*pi-periodic and stays accurate for large unwrapped parameters.
 
 On the uniform grid ``th_j = 2*pi*j/S`` (a :class:`UniformGrid`) the
 points come from one length-S transform instead: with the coefficients
@@ -19,7 +21,7 @@ O(S log S + K) rather than O(S*K).
 A ``TrigPath`` may also hold a stack of R curves over one shared ``k``:
 ``a`` is then an (R, K) array, and evaluating it at R parameters pairs
 parameter r with curve r.  Each curve of a stack rounds exactly like the
-same curve held alone, as long as both have the same terms.
+same curve held alone at a scalar, as long as both have the same terms.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from .pathdata import _is_integer, write_table
 __all__ = ["TrigPath", "UniformGrid", "write_reconstruction_csv"]
 
 TWO_PI = 2.0 * math.pi
-# largest parameter-by-term table built at once when evaluating arrays
-_BLOCK_ELEMENTS = 1 << 13
+# parameters of one curve evaluated at once by the Horner recurrence, whose
+# scratch is about 100 B a parameter (200 B with the derivative)
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,21 @@ class TrigPath:
             arr.setflags(write=False)
         return tables
 
+    @cached_property
+    def _horner(self):
+        """Gaps and coefficients of a lone curve's Horner pass down |k| to 0:
+        at each |k|, the real then imaginary parts of ``a_k``, ``conj(a_-k)``,
+        ``i*k*a_k`` and ``conj(-i*k*a_-k)``, as a (steps, 2, 4, 1) table."""
+        # Python ints hold every |k|, where int64 overflows at -2**63
+        mags = sorted({abs(v) for v in self.k.tolist()} | {0}, reverse=True)
+        slot = dict(zip(mags, range(len(mags))))
+        rows, neg = [slot[abs(v)] for v in self.k.tolist()], (self.k < 0).astype(np.intp)
+        c = np.zeros((len(mags), 4), dtype=np.complex128)
+        for col, v in ((neg, self.a), (neg + 2, 1j * self.k * self.a)):
+            np.add.at(c, (rows, col), np.where(neg, v.conj(), v))
+        gaps = [hi - lo for hi, lo in zip(mags[:1] + mags, mags)]
+        return gaps, np.stack((c.real, c.imag), axis=1)[..., None]
+
     @property
     def n_terms(self) -> int:
         return self.k.size
@@ -109,11 +127,11 @@ class TrigPath:
         """
         if isinstance(theta, UniformGrid):
             return self._eval_grid(theta.samples)
-        return self._evaluate(theta)[:2]
+        return self._evaluate(theta, 2)
 
     def eval_with_deriv(self, theta):
         """(x, y, dx/dtheta, dy/dtheta) sharing one trig evaluation."""
-        return self._evaluate(theta)
+        return self._evaluate(theta, 4)
 
     # vecdot sums a row the same way whether it stands alone or in a block
     # of any height, where ``@`` picks a kernel by the block's shape.
@@ -123,31 +141,50 @@ class TrigPath:
         c, s = w.real, w.imag
         return (np.vecdot(c, amp), np.vecdot(s, amp), -np.vecdot(s, kamp), np.vecdot(c, kamp))
 
-    def _evaluate(self, theta):
-        """:meth:`_sums` of the terms at theta.
+    def _evaluate(self, theta, n):
+        """The first n of (x, y, dx, dy) at theta.
 
-        Array parameters are taken in blocks of rows whose tables hold at
-        most ``_BLOCK_ELEMENTS`` entries, each written into its columns of
-        one (4, n) output, so memory follows the output however many terms
-        there are.  A stack of R curves takes R parameters, one per curve,
-        in one table the size of its coefficients.
+        A scalar, or a stack of R curves at R parameters (one per curve),
+        takes :meth:`_sums`.  An array on one curve takes one Horner pass of
+        :attr:`_horner` in ``w = exp(i*th)`` per block of ``_BLOCK_ROWS``
+        parameters, into one (n, size) output: with ``p = sum_{k>=0} a_k w^k``
+        and ``q = sum_{k<0} conj(a_k) w^|k|`` the curve is p + conj(q).  Its
+        complex products are written out in real multiplies and adds, which
+        round alike wherever a parameter sits in an array; numpy's complex
+        kernels do not.
         """
         # a lone curve at a scalar: float % wraps as np.mod does, -0.0 included;
         # isinstance first, since np.ndim builds a 0-d array from a float
         if self.a.ndim == 1 and (isinstance(theta, float) or np.ndim(theta) == 0):
-            return tuple(map(float, self._sums(float(theta) % TWO_PI)))
+            return tuple(map(float, self._sums(float(theta) % TWO_PI)[:n]))
         th = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI)
         if self.a.ndim == 2:
             if th.shape != self.a.shape[:1]:
                 raise ValueError(f"a stack of {self.a.shape[0]} curves takes "
                                  f"one parameter per curve, got shape {th.shape}")
-            return self._sums(th)
-        flat = th.ravel()
-        rows = max(1, _BLOCK_ELEMENTS // max(1, self.n_terms))
-        out = np.empty((4, flat.size))
-        for start in range(0, flat.size, rows):
-            out[:, start:start + rows] = self._sums(flat[start:start + rows])
-        return tuple(out.reshape(4, *th.shape))
+            return self._sums(th)[:n]
+        (gaps, coefs), flat = self._horner, th.ravel()
+        out = np.empty((n, flat.size))
+        for start in range(0, flat.size, _BLOCK_ROWS):
+            block, powers = flat[start:start + _BLOCK_ROWS], {}
+            # real, then imaginary parts of p, q and their derivatives
+            re, im = acc = np.zeros((2, n, block.size))
+            t, u = np.empty_like(acc)
+            for gap, c in zip(gaps, coefs[:, :, :n]):
+                if gap:
+                    if gap not in powers:
+                        w = np.exp(1j * (gap * block))
+                        powers[gap] = np.tile(w.real, (n, 1)), np.tile(w.imag, (n, 1))
+                    wr, wi = powers[gap]
+                    np.multiply(re, wi, out=t)
+                    re *= wr
+                    re -= np.multiply(im, wi, out=u)
+                    im *= wr
+                    im += t
+                acc += c
+            out[0::2, start:start + block.size] = re[0::2] + re[1::2]
+            out[1::2, start:start + block.size] = im[0::2] - im[1::2]
+        return tuple(out.reshape(n, *th.shape))
 
     def _eval_grid(self, samples):
         if self.a.ndim == 2:

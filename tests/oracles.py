@@ -93,3 +93,55 @@ def quadrature_curve_gap(truth_eval, approx_eval, points):
     xt, yt = truth_eval(th)
     xa, ya = approx_eval(th)
     return float((TWO_PI / points) * np.sum((xt - xa) ** 2 + (yt - ya) ** 2))
+
+
+def curve_sum_longdouble(ks, avals, theta):
+    """(x, y, dx/dth, dy/dth) of sum a_k*exp(i*k*th) in extended precision.
+
+    th is theta wrapped mod 2*pi in float64, the parameter a curve is
+    documented to evaluate at; the angles k*th, the exponentials and the
+    sums are then taken in ``np.clongdouble`` (a 64-bit mantissa on x86-64),
+    so the result is the exact sum at that parameter to far below float64
+    rounding.  Returns long double arrays of theta's shape.
+    """
+    th = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI).astype(np.longdouble)
+    k = np.asarray(ks, dtype=np.int64).astype(np.longdouble)
+    a = np.asarray(avals, dtype=np.complex128).astype(np.clongdouble)
+    e = np.exp(1j * np.multiply.outer(th, k))
+    z, dz = (e * a).sum(axis=-1), (e * (1j * k * a)).sum(axis=-1)
+    return z.real, z.imag, dz.real, dz.imag
+
+
+def gvf_field_reference(ks, avals, k1, k2, state):
+    """The guiding field (chi_x, chi_y, chi_theta) at the (3, ...) states.
+
+    Written out from the field's definition: with c(th) = sum a_k e^{i k th}
+    (th wrapped mod 2*pi), phi = (x, y) - c and c' = sum i k a_k e^{i k th},
+    chi = (c'_x - k1*phi1, c'_y - k2*phi2, 1 + k1*phi1*c'_x + k2*phi2*c'_y).
+    """
+    x, y, th = state
+    k = np.asarray(ks, dtype=np.float64)
+    a = np.asarray(avals, dtype=np.complex128)
+    e = np.exp(1j * np.multiply.outer(np.mod(th, TWO_PI), k))
+    c, dc = e @ a, e @ (1j * k * a)
+    phi1, phi2 = x - c.real, y - c.imag
+    return np.array((dc.real - k1 * phi1, dc.imag - k2 * phi2,
+                     1.0 + k1 * phi1 * dc.real + k2 * phi2 * dc.imag))
+
+
+def rk4_step_reference(ks, avals, k1, k2, state, dt, weights=(1.0, 2.0, 2.0, 1.0)):
+    """One classic RK4 step of the guiding field from each (3, ...) state.
+
+    ``weights`` are those of the four stages, over their sum; the default
+    is the classic (1, 2, 2, 1)/6.
+    """
+    def f(s):
+        return gvf_field_reference(ks, avals, k1, k2, s)
+
+    state = np.asarray(state, dtype=np.float64)
+    f1 = f(state)
+    f2 = f(state + 0.5 * dt * f1)
+    f3 = f(state + 0.5 * dt * f2)
+    f4 = f(state + dt * f3)
+    w1, w2, w3, w4 = weights
+    return state + dt * (w1 * f1 + w2 * f2 + w3 * f3 + w4 * f4) / sum(weights)

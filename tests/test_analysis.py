@@ -330,10 +330,10 @@ class TestCertify:
 
     def test_batches_of_runs_give_the_same_report(self, monkeypatch):
         kwargs = dict(noise=NoiseSpec(0.1, 0.15, 5), m=16, params=UNIT,
-                      cfg=SimConfig(FieldState(-1.0, 2.0, 0.0), duration=1.0, dt=1e-2),
+                      cfg=SimConfig(FieldState(-1.0, 2.0, 0.0), duration=10.0, dt=1e-2),
                       runs=5)
         whole = certify(self.LISSAJOUS, **kwargs)
-        # 101 rows a run: a budget of 250 rows makes batches of 2, 2 and 1 runs
+        # 101 kept rows a run: a budget of 250 rows makes batches of 2, 2 and 1 runs
         monkeypatch.setattr(analysis, "_ROW_BUDGET", 250)
         batches = []
 
@@ -350,7 +350,7 @@ class TestCertify:
                       cfg=SimConfig(FieldState(-1.0, 2.0, 0.0), duration=0.1, dt=1e-2),
                       runs=5)
         whole = certify(self.LISSAJOUS, **kwargs)
-        # 11 rows but 17 terms a run: a budget of 40 holds the rows of 3
+        # 2 kept rows but 17 terms a run: a budget of 40 holds the rows of 20
         # runs and the terms of 2, so the batches are 2, 2 and 1 runs
         monkeypatch.setattr(analysis, "_ROW_BUDGET", 40)
         batches = []
@@ -363,14 +363,36 @@ class TestCertify:
         assert certify(self.LISSAJOUS, **kwargs) == whole
         assert batches == [(2,), (2,), ()]
 
+    def test_batches_are_sized_by_the_rows_they_keep(self, monkeypatch):
+        kwargs = dict(noise=NoiseSpec(0.1, 0.15, 5), m=16, params=UNIT,
+                      cfg=SimConfig(FieldState(-1.0, 2.0, 0.0), duration=2.0, dt=1e-2),
+                      runs=5)
+        whole = certify(self.LISSAJOUS, **kwargs)
+        # 201 rows, 21 of them kept, and 17 terms a run: a budget of 120 holds
+        # no run's every row, but the kept rows and terms of all 5
+        monkeypatch.setattr(analysis, "_ROW_BUDGET", 120)
+        batches = []
+
+        def spy(path, *args, **kw):
+            batches.append(path.a.shape[:-1])
+            return integrate(path, *args, **kw)
+
+        monkeypatch.setattr(analysis, "integrate", spy)
+        report = certify(self.LISSAJOUS, **kwargs)
+        assert batches == [(5,)]
+        assert report == whole
+        lone = [traj for _, traj in self.lone_runs(kwargs["noise"], 5, UNIT, kwargs["cfg"])]
+        assert report.e_ms_per_run == tuple(float(np.mean(traj.e_inst[traj.t >= 1.8 - 1e-12]))
+                                            for traj in lone)
+
     @pytest.mark.parametrize("budget", [1 << 18, 250])
     def test_divergence_names_the_run_that_diverges_first(self, monkeypatch, budget):
-        # one batch of 5 runs, or batches of 2, 2 and 1; the first batch
-        # with a divergence names its first run to diverge
+        # one batch of 5 runs, or batches of 2, 2 and 1 (101 kept rows a
+        # run); the first batch with a divergence names its first run to diverge
         monkeypatch.setattr(analysis, "_ROW_BUDGET", budget)
         noise = NoiseSpec(0.3, 0.3, 7)
         params = GvfParams(8.0, 8.0)
-        cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=40.0, dt=0.4)
+        cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=400.0, dt=0.4)
         steps = [outcome.step for _, outcome in self.lone_runs(noise, 5, params, cfg)]
         batch = budget // 101
         step, run = next(min((s, first + i) for i, s in enumerate(steps[first:first + batch]))

@@ -300,9 +300,13 @@ class TestIntegrate:
         cfg = SimConfig(FieldState(1.0, 0.0, 0.0), duration=2.0, dt=1e-3)
         traj = integrate(followed, UNIT, cfg, truth=truth)
         # each row's squared distance to the reference point at its own
-        # theta; a batched curve point rounds exactly like a scalar one
-        tx, ty = np.array([truth.eval(th) for th in traj.theta]).T
+        # theta, as the array evaluation gives it; within rounding of the
+        # scalar points
+        tx, ty = truth.eval(traj.theta)
         assert np.array_equal(traj.e_inst, (traj.x - tx) ** 2 + (traj.y - ty) ** 2)
+        sx, sy = np.array([truth.eval(th) for th in traj.theta]).T
+        assert np.allclose(traj.e_inst, (traj.x - sx) ** 2 + (traj.y - sy) ** 2,
+                           rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("shape", [(3 * sim._ERROR_CHUNK_ROWS + 5,),
                                        (2 * sim._ERROR_CHUNK_ROWS + 1, 3)])

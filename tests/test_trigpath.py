@@ -11,9 +11,10 @@ from fourierpath import (Spectrum, apply_window, dft, reconstruction_mse, synth_
 from fourierpath.trigpath import TrigPath, UniformGrid, write_reconstruction_csv
 
 from conftest import decaying_spectrum, random_path, sparse_spectrum
-from oracles import partial_sum
+from oracles import curve_sum_longdouble, partial_sum
 
 TWO_PI = 2.0 * np.pi
+EPS = np.finfo(np.float64).eps
 
 
 def test_unit_epicycle_values(unit_epicycle):
@@ -60,12 +61,13 @@ def test_windowed_eval_matches_direct_partial_sum():
 
 
 def test_array_evaluation_in_blocks(monkeypatch):
-    # 33 terms under a 100-element budget give 3-row blocks, so the 4x5
-    # parameters take seven blocks, the last one partial
-    monkeypatch.setattr(trigpath, "_BLOCK_ELEMENTS", 100)
+    # 3-parameter blocks: the 4x5 parameters take seven blocks, the last one
+    # partial, and give the bytes one block gives
     w = apply_window(dft(random_path(64, seed=6)), 32)
     path = w
     th = np.linspace(-7.0, 9.0, 20).reshape(4, 5)
+    whole = path.eval_with_deriv(th)
+    monkeypatch.setattr(trigpath, "_BLOCK_ROWS", 3)
     c = partial_sum(w.k, w.a, th)
     dc = partial_sum(w.k, 1j * w.k * w.a, th)
     x, y, dx, dy = path.eval_with_deriv(th)
@@ -74,43 +76,67 @@ def test_array_evaluation_in_blocks(monkeypatch):
     assert np.max(np.abs(y - c.imag)) < 1e-12
     assert np.max(np.abs(dx - dc.real)) < 1e-11
     assert np.max(np.abs(dy - dc.imag)) < 1e-11
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((x, y, dx, dy), whole))
     assert all(np.array_equal(a, b) for a, b in zip((x, y), path.eval(th)))
     assert path.eval(np.empty(0))[0].shape == (0,)
 
 
+def _bounds(k, a):
+    """4*eps*sum (1+|k|)*|a_k| for a point, with |k*a_k| for a derivative:
+    the distance from the exact sum within which both kernels stay."""
+    ka = np.abs(np.asarray(k, dtype=np.float64))
+    point = 4 * EPS * np.sum((1 + ka) * np.abs(a))
+    deriv = 4 * EPS * np.sum((1 + ka) * ka * np.abs(a))
+    return np.array([point, point, deriv, deriv])
+
+
 @pytest.mark.parametrize("n_terms", [1, 101, 758, 2062, 5000])
-def test_array_point_equals_scalar_point(n_terms):
-    # two full blocks and a one-row last block: a point must not depend on
-    # the height of the block its parameter lands in
+def test_array_point_equals_scalar_point(n_terms, monkeypatch):
+    # two full blocks and a one-row last block: a point is the one its
+    # parameter gives alone, whatever block it lands in, and the scalar
+    # point to within twice the bound each of them keeps to
     rng = np.random.default_rng(n_terms)
     amp = rng.uniform(0.0, 1.0, n_terms)
     path = TrigPath(k=np.arange(n_terms) - n_terms // 2,
                     a=amp * np.exp(1j * rng.uniform(-3.0, 3.0, n_terms)))
-    rows = max(1, trigpath._BLOCK_ELEMENTS // n_terms)
-    th = rng.uniform(-10.0, 10.0, 2 * rows + 1)
-    for batched, scalar in ((path.eval(th), path.eval),
-                            (path.eval_with_deriv(th), path.eval_with_deriv)):
+    monkeypatch.setattr(trigpath, "_BLOCK_ROWS", 4)
+    th = rng.uniform(-10.0, 10.0, 2 * 4 + 1)
+    bounds = _bounds(path.k, path.a)
+    for batched, evaluate in ((path.eval(th), path.eval),
+                              (path.eval_with_deriv(th), path.eval_with_deriv)):
         got = np.stack(batched, axis=1)
-        want = np.array([scalar(t) for t in th])
-        assert got.tobytes() == want.tobytes()
+        alone = np.concatenate([np.stack(evaluate(th[i:i + 1]), axis=1)
+                                for i in range(th.size)])
+        assert got.tobytes() == alone.tobytes()
+        scalar = np.array([evaluate(t) for t in th])
+        assert np.all(np.abs(got - scalar) <= 2 * bounds[:got.shape[1]])
 
 
 @pytest.mark.parametrize("n_terms", [0, 1, 101, 758])
 def test_scalar_parameter_rounds_like_a_one_element_array(n_terms):
     # a lone curve wraps a scalar with float %, an array with np.mod: the
-    # same number, -0.0, huge and tiny parameters included
+    # same number, -0.0, huge and tiny parameters included.  Every scalar
+    # form sums the table of terms; a (1,) array takes the recurrence, the
+    # same bytes as in a longer array and within the bound of the exact sum
     rng = np.random.default_rng(n_terms)
     path = TrigPath(k=np.arange(n_terms) - n_terms // 2,
                     a=rng.uniform(0.0, 1.0, n_terms) * np.exp(1j * rng.uniform(-3.0, 3.0, n_terms)))
     values = [0.0, -0.0, TWO_PI, -TWO_PI, 1e-300, 1e12, -1e12,
               np.pi, -np.pi, 3 * np.pi, -5 * np.pi, *rng.uniform(-50.0, 50.0, 8)]
-    for v in values:
+    longer = np.stack(path.eval_with_deriv(np.array(values)), axis=1)
+    exact = np.stack(curve_sum_longdouble(path.k, path.a, np.array(values)), axis=1)
+    bounds = _bounds(path.k, path.a)
+    for v, in_longer, want in zip(values, longer, exact):
+        table = _reference_with_deriv(path.k, path.a, float(v) % TWO_PI)
         forms = [float(v), np.float64(v), np.array(v)] + ([int(v)] if v.is_integer() else [])
         for theta in forms:
             got = path.eval_with_deriv(theta)
-            want = np.stack(path.eval_with_deriv(np.array([theta])), axis=1)[0]
             assert all(type(value) is float for value in got)
-            assert np.array(got).tobytes() == want.tobytes(), (v, type(theta))
+            assert np.array(got).tobytes() == np.array(table, dtype=np.float64).tobytes(), \
+                (v, type(theta))
+        one = np.stack(path.eval_with_deriv(np.array([v])), axis=1)[0]
+        assert one.tobytes() == in_longer.tobytes(), v
+        assert np.all(np.abs(one - want) <= bounds), v
 
 
 def test_stack_refuses_a_scalar_parameter():
@@ -180,9 +206,9 @@ def test_indices_may_be_empty_or_numpy_integers():
 
 
 def test_blocked_evaluation_memory_follows_the_output(monkeypatch):
-    # one-row blocks: the peak must not grow with the blocks, only with the
-    # (4, n) output and the wrapped parameters, 40 B per row
-    monkeypatch.setattr(trigpath, "_BLOCK_ELEMENTS", 16)
+    # twenty blocks: the peak must not grow with the blocks, only with the
+    # (2, n) output and the wrapped parameters, 24 B per row
+    monkeypatch.setattr(trigpath, "_BLOCK_ROWS", 1000)
     rows = 20000
     path = TrigPath(k=np.arange(16) - 8, a=np.linspace(0.5, 1.5, 16) * 1j)
     path.eval(0.0)
@@ -320,14 +346,15 @@ def test_table_set_is_built_only_on_pointwise_use():
     w.eval(UniformGrid(33))
     tail_energy(spec, np.arange(1, 65))
     reconstruction_mse(spec, w)
-    assert "_tables" not in vars(spec) and "_tables" not in vars(w)
+    assert not {"_tables", "_horner"} & (vars(spec).keys() | vars(w).keys())
     # once built the set is held by the curve, read-only, for every later call
     w.eval_with_deriv(0.3)
     assert "_tables" in vars(w) and "_tables" not in vars(spec)
+    assert "_horner" not in vars(w)
     tables = vars(w)["_tables"]
     assert all(not table.flags.writeable for table in tables)
     w.eval_with_deriv(np.linspace(0.0, 7.0, 5))
-    assert w._tables is tables
+    assert w._tables is tables and "_horner" in vars(w)
     assert tables[0].dtype == np.float64 and np.array_equal(tables[0], w.k.astype(np.float64))
 
 
@@ -358,7 +385,7 @@ _PINNED_CURVES = {
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_CURVES))
-def test_float_indices_keep_every_angle_of_the_int64_ones(name):
+def test_float_indices_keep_every_angle_of_the_int64_ones(name, monkeypatch):
     path = _curve(_PINNED_CURVES[name], seed=len(name))
     k = path.k
     assert k.dtype == np.int64
@@ -367,18 +394,70 @@ def test_float_indices_keep_every_angle_of_the_int64_ones(name):
     want = _reference_with_deriv(k, path.a, 7.25 % TWO_PI)
     assert all(type(v) is float for v in got)
     assert np.array(got).tobytes() == np.array(want, dtype=np.float64).tobytes()
-    # a (1,) array and a block of more rows than one table holds
-    rows = trigpath._BLOCK_ELEMENTS // max(1, k.size) + 3
-    for th in (np.array([-2.5]), np.linspace(-9.0, 30.0, rows)):
-        got = path.eval_with_deriv(th)
-        want = _reference_with_deriv(k, path.a, np.mod(th, TWO_PI))
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+    # a (1,) array and a run of more rows than one block holds, each
+    # parameter rounding as it does alone
+    monkeypatch.setattr(trigpath, "_BLOCK_ROWS", 5)
+    th = np.linspace(-9.0, 30.0, trigpath._BLOCK_ROWS + 3)
+    got = np.array(path.eval_with_deriv(th))
+    alone = np.concatenate([path.eval_with_deriv(th[i:i + 1]) for i in range(th.size)], axis=1)
+    assert got.tobytes() == alone.tobytes()
+    if name == "huge-k":
+        # past 2**53 no k*th has an accurate float64 value in either kernel:
+        # the values are finite and bounded by the coefficient sums
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got[:2]) <= np.sum(np.abs(path.a)))
+        assert np.all(np.abs(got[2:]) <= np.sum(np.abs(k.astype(np.float64) * path.a)))
+    else:
+        want = np.array(curve_sum_longdouble(k, path.a, th))
+        assert np.all(np.abs(got - want) <= _bounds(k, path.a)[:, None])
     # a 3-curve stack, one parameter per curve
     stack = TrigPath(k, np.stack([path.a, 2.0 * path.a[::-1], -path.a]))
     th = np.array([0.3, -4.0, 11.5])
     got = stack.eval_with_deriv(th)
     want = _reference_with_deriv(k, stack.a, np.mod(th, TWO_PI))
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _gapped(n_terms, rng):
+    return np.sort(rng.choice(np.arange(-3 * n_terms - 2, 3 * n_terms + 3), n_terms,
+                              replace=False))
+
+
+_CURVE_SHAPES = {
+    "contiguous": lambda n, rng: np.arange(n) - n // 2,
+    "gapped": _gapped,
+    "negative-only": lambda n, rng: np.arange(-n, 0),
+    "positive-only": lambda n, rng: np.arange(1, n + 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_CURVE_SHAPES))
+@pytest.mark.parametrize("n_terms", [0, 1, 101, 758, 2062, 5000])
+def test_array_evaluation_stays_within_the_rounding_bound(shape, n_terms):
+    # against the extended-precision sum at the same wrapped parameters
+    rng = np.random.default_rng(n_terms)
+    k = _CURVE_SHAPES[shape](n_terms, rng)
+    a = (rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)) * rng.uniform(0.0, 2.0)
+    path = TrigPath(k, a)
+    th = np.concatenate(([0.0, -0.0, 1e12, -1e12, TWO_PI, np.pi], rng.uniform(-50.0, 50.0, 19)))
+    got = np.array(path.eval_with_deriv(th))
+    want = np.array(curve_sum_longdouble(k, a, th))
+    assert np.all(np.abs(got - want) <= _bounds(k, a)[:, None])
+    assert np.array_equal(got[:2], path.eval(th))
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 1024])
+def test_array_points_do_not_depend_on_the_array_shape(block, monkeypatch):
+    # a (rows, R) array gives the bytes of its flattened parameters, and
+    # every parameter the bytes it gives alone, at any block height
+    path = _curve(np.arange(-50, 51), seed=3)
+    th = np.random.default_rng(4).uniform(-20.0, 20.0, (7, 3))
+    alone = np.array([path.eval_with_deriv(t[None]) for t in th.ravel()])[..., 0].T
+    monkeypatch.setattr(trigpath, "_BLOCK_ROWS", block)
+    flat = np.array(path.eval_with_deriv(th.ravel()))
+    table = np.array(path.eval_with_deriv(th))
+    assert table.shape == (4, 7, 3)
+    assert table.tobytes() == flat.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("cls, extra", [(TrigPath, {}), (Spectrum, {"n_samples": 8})],
