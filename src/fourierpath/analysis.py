@@ -136,7 +136,8 @@ def f_backward(spec: Spectrum, m: int, sigma1: float, sigma2: float) -> float:
     """
     if m < 2:
         raise ValueError("f_backward needs m >= 2")
-    return p_bar(spec, m, sigma1, sigma2) - p_bar(spec, m - 1, sigma1, sigma2)
+    below, at = p_bar(spec, np.array([m - 1, m]), sigma1, sigma2)
+    return float(at - below)
 
 
 def select_window(
@@ -192,8 +193,9 @@ def certify(
     Per run: perturb the clean data with a fresh seed, transform, window,
     follow the resulting curve from cfg.eta0, and average the squared
     error against the clean full reconstruction over the final 10% of the
-    horizon.  ``e_ms_final`` is the mean of those per-run values and is
-    reported against delta = p_bar computed with the clean spectrum tail.
+    horizon, rows ceil(0.9*cfg.steps) to cfg.steps.  ``e_ms_final`` is the
+    mean of those per-run values and is reported against delta = p_bar
+    computed with the clean spectrum tail.
     ``p_integral`` is the mean over runs of :func:`reconstruction_mse`
     between the clean full reconstruction and the followed curve.
 
@@ -215,10 +217,11 @@ def certify(
     clean_spec = dft(clean)
     delta = p_bar(clean_spec, m, noise.sigma1, noise.sigma2)
     seeds = np.random.SeedSequence(int(noise.seed)).generate_state(runs, dtype=np.uint64)
-    # the rows of the final 10%; 1e-12 keeps one whose t rounds below 0.9*duration
-    since = 0.9 * cfg.duration - 1e-12
+    # counted in rows, so no rounding of t moves the first one kept
+    first_kept = -(-9 * cfg.steps // 10)
+    since = cfg.dt * first_kept
     # a run keeps those rows, and its curve has the terms of the clean spectrum's window
-    kept, terms = cfg.steps - cfg.first_row(since) + 1, apply_window(clean_spec, m).k.size
+    kept, terms = cfg.steps - first_kept + 1, apply_window(clean_spec, m).k.size
     batch = max(1, _ROW_BUDGET // max(kept, terms))
 
     e_runs: list[float] = []

@@ -82,10 +82,7 @@ _FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 def main(argv=None) -> int:
     try:
-        argv = sys.argv[1:] if argv is None else argv
-        # a command line naming its command first needs only that command's flags
-        command = argv[0] if argv and argv[0] in COMMANDS else None
-        args, unknown = _build_parser(command).parse_known_args(argv)
+        args, unknown = _build_parser().parse_known_args(argv)
         if unknown:
             raise CliError(f"fourierpath {args.command}: unrecognized arguments: "
                            + " ".join(unknown))
@@ -207,11 +204,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
-# parsing leaves a parser as it was, so each one is built once per process
+# parsing leaves the parser as it was, so it is built once per process
 @functools.cache
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or, given ``command``, with only that
-    command's flags added; every command keeps its name and help text."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, each with the flags of the settings it reads."""
     parser = _Parser(
         prog="fourierpath",
         description="Spectral reconstruction and guided path following "
@@ -221,8 +217,6 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name, (help_text, settings, _) in COMMANDS.items():
         # a flag left out stays out of the namespace, so RunConfig supplies its default
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        if command not in (None, name):
-            continue
         p.add_argument("--config", help="JSON config file; overrides flags on conflict")
         for f in dataclasses.fields(RunConfig):
             if f.name in settings:

@@ -8,6 +8,7 @@ independent of the package's own code paths.
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+EPS = np.finfo(np.float64).eps
 
 
 def naive_dft(c):
@@ -110,6 +111,17 @@ def curve_sum_longdouble(ks, avals, theta):
     e = np.exp(1j * np.multiply.outer(th, k))
     z, dz = (e * a).sum(axis=-1), (e * (1j * k * a)).sum(axis=-1)
     return z.real, z.imag, dz.real, dz.imag
+
+
+def rounding_bounds(ks, avals):
+    """4*eps*sum (1+|k|)*|a_k| for a point, with |k*a_k| for a derivative:
+    the distance from the exact sum within which a float64 evaluation of
+    (x, y, dx/dth, dy/dth) stays."""
+    ka = np.abs(np.asarray(ks, dtype=np.float64))
+    amp = np.abs(np.asarray(avals, dtype=np.complex128))
+    point = 4 * EPS * np.sum((1 + ka) * amp)
+    deriv = 4 * EPS * np.sum((1 + ka) * ka * amp)
+    return np.array([point, point, deriv, deriv])
 
 
 def gvf_field_reference(ks, avals, k1, k2, state):

@@ -437,6 +437,33 @@ class TestCertify:
                                             for traj in lone)
         assert np.sum(lone[0].t >= 0.9 - 1e-12) == (1 if dt == 0.25 else 2)
 
+    @pytest.mark.parametrize("duration, dt, kept", [
+        (1.0, 0.25, 1), (1.0, 0.1, 2), (1.3, 0.1, 2), (0.9, 0.3, 1), (2.0, 2e-3, 101),
+        (20.0, 1e-3, 2001), (700.0, 0.7, 101),
+        # t = 0.7*90000 is 62999.99999999999, below 0.9*70000 = 63000 by
+        # more than any fixed margin, yet row 90000 starts the tail
+        (70000.0, 0.7, 10001)])
+    def test_tail_starts_at_the_row_of_nine_tenths_of_the_steps(self, monkeypatch, duration,
+                                                                 dt, kept):
+        # rows ceil(0.9*steps) to steps; no run is integrated, the first
+        # batch only shows where it starts and how many runs it holds
+        class Seen(Exception):
+            pass
+
+        cfg = SimConfig(FieldState(1.5, 0, 0), duration, dt)
+
+        def spy(path, params, cfg, truth, since):
+            raise Seen(cfg.first_row(since), path.a.ndim)
+
+        # two runs of 5 terms each fit the budget only if a run keeps fewer rows
+        monkeypatch.setattr(analysis, "_ROW_BUDGET", max(5, 2 * kept - 1))
+        monkeypatch.setattr(analysis, "integrate", spy)
+        with pytest.raises(Seen) as seen:
+            certify(synth_path("circle", 16, [1.0]), NoiseSpec(0.1, 0.1, 0), 4, UNIT, cfg,
+                    runs=2)
+        first, ndim = seen.value.args
+        assert (cfg.steps - first + 1, ndim) == (kept, 1)
+
     def test_zero_runs_rejected(self):
         clean = synth_path("circle", 32, [1.0])
         with pytest.raises(ValueError):

@@ -344,22 +344,22 @@ class TestSimulate:
         assert flags == {"--help", "--config",
                          *("--" + name.replace("_", "-") for name in cli.COMMANDS[command][1])}
 
-    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--synth", "circle,8", "transform"],
-                                      ["transform", "--k1", "2", "--synth", "circle,8"],
-                                      ["sweep", "--window-max"]])
-    def test_parser_of_the_named_command_refuses_as_the_full_one(self, capsys, monkeypatch,
-                                                                 argv):
-        # main adds only the flags of a command named first; any other command
-        # line gets the parser of every command
-        full, built = cli._build_parser, []
-        monkeypatch.setattr(cli, "_build_parser",
-                            lambda command=None: built.append(command) or full(command))
+    _CHOICES = "(choose from 'transform', 'reconstruct', 'simulate', 'certify', 'sweep')"
+
+    @pytest.mark.parametrize("argv,err", [
+        ([], "fourierpath: the following arguments are required: command"),
+        (["bogus"], f"fourierpath: argument command: invalid choice: 'bogus' {_CHOICES}"),
+        (["--synth", "circle,8", "transform"],
+         f"fourierpath: argument command: invalid choice: 'circle,8' {_CHOICES}"),
+        (["transform", "--k1", "2", "--synth", "circle,8"],
+         "fourierpath transform: unrecognized arguments: --k1 2"),
+        (["sweep", "--window-max"], "fourierpath sweep: argument --window-max: expected one argument"),
+    ], ids=[f"argv{i}" for i in range(5)])
+    def test_parser_of_the_named_command_refuses_as_the_full_one(self, capsys, argv, err):
+        # one parser holds every command's flags: a flag of another command,
+        # a missing value or a command not named first is one error line
         assert run(argv) == 1
-        err = capsys.readouterr().err
-        assert built == [argv[0] if argv and argv[0] in cli.COMMANDS else None]
-        monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
-        assert run(argv) == 1
-        assert capsys.readouterr().err == err
+        assert capsys.readouterr().err == f"error: {err}\n"
 
     @pytest.mark.parametrize("command,texts", [
         ("simulate", ["--stride STRIDE keep every stride-th trajectory row (>= 1)",
@@ -954,18 +954,6 @@ def test_refused_command_line_leaves_no_state_for_the_next_run(tmp_path, capsys,
             run([argv[0], "--help"])
         helps.append(capsys.readouterr())
     assert helps[0] == helps[1]
-
-
-@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
-def test_parser_of_one_command_adds_only_its_flags(command):
-    # every command keeps its name and help text; only the named one has flags
-    parser = cli._build_parser(command)
-    commands = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
-    assert set(commands) == set(cli.COMMANDS)
-    for name, p in commands.items():
-        flags = {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
-        assert flags == ({"config", *cli.COMMANDS[name][1]} if name == command else set())
 
 
 def test_module_entry_point(tmp_path):

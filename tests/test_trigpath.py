@@ -11,10 +11,9 @@ from fourierpath import (Spectrum, apply_window, dft, reconstruction_mse, synth_
 from fourierpath.trigpath import TrigPath, UniformGrid, write_reconstruction_csv
 
 from conftest import decaying_spectrum, random_path, sparse_spectrum
-from oracles import curve_sum_longdouble, partial_sum
+from oracles import curve_sum_longdouble, partial_sum, rounding_bounds
 
 TWO_PI = 2.0 * np.pi
-EPS = np.finfo(np.float64).eps
 
 
 def test_unit_epicycle_values(unit_epicycle):
@@ -81,15 +80,6 @@ def test_array_evaluation_in_blocks(monkeypatch):
     assert path.eval(np.empty(0))[0].shape == (0,)
 
 
-def _bounds(k, a):
-    """4*eps*sum (1+|k|)*|a_k| for a point, with |k*a_k| for a derivative:
-    the distance from the exact sum within which both kernels stay."""
-    ka = np.abs(np.asarray(k, dtype=np.float64))
-    point = 4 * EPS * np.sum((1 + ka) * np.abs(a))
-    deriv = 4 * EPS * np.sum((1 + ka) * ka * np.abs(a))
-    return np.array([point, point, deriv, deriv])
-
-
 @pytest.mark.parametrize("n_terms", [1, 101, 758, 2062, 5000])
 def test_array_point_equals_scalar_point(n_terms, monkeypatch):
     # two full blocks and a one-row last block: a point is the one its
@@ -101,7 +91,7 @@ def test_array_point_equals_scalar_point(n_terms, monkeypatch):
                     a=amp * np.exp(1j * rng.uniform(-3.0, 3.0, n_terms)))
     monkeypatch.setattr(trigpath, "_BLOCK_ROWS", 4)
     th = rng.uniform(-10.0, 10.0, 2 * 4 + 1)
-    bounds = _bounds(path.k, path.a)
+    bounds = rounding_bounds(path.k, path.a)
     for batched, evaluate in ((path.eval(th), path.eval),
                               (path.eval_with_deriv(th), path.eval_with_deriv)):
         got = np.stack(batched, axis=1)
@@ -125,7 +115,7 @@ def test_scalar_parameter_rounds_like_a_one_element_array(n_terms):
               np.pi, -np.pi, 3 * np.pi, -5 * np.pi, *rng.uniform(-50.0, 50.0, 8)]
     longer = np.stack(path.eval_with_deriv(np.array(values)), axis=1)
     exact = np.stack(curve_sum_longdouble(path.k, path.a, np.array(values)), axis=1)
-    bounds = _bounds(path.k, path.a)
+    bounds = rounding_bounds(path.k, path.a)
     for v, in_longer, want in zip(values, longer, exact):
         table = _reference_with_deriv(path.k, path.a, float(v) % TWO_PI)
         forms = [float(v), np.float64(v), np.array(v)] + ([int(v)] if v.is_integer() else [])
@@ -409,7 +399,7 @@ def test_float_indices_keep_every_angle_of_the_int64_ones(name, monkeypatch):
         assert np.all(np.abs(got[2:]) <= np.sum(np.abs(k.astype(np.float64) * path.a)))
     else:
         want = np.array(curve_sum_longdouble(k, path.a, th))
-        assert np.all(np.abs(got - want) <= _bounds(k, path.a)[:, None])
+        assert np.all(np.abs(got - want) <= rounding_bounds(k, path.a)[:, None])
     # a 3-curve stack, one parameter per curve
     stack = TrigPath(k, np.stack([path.a, 2.0 * path.a[::-1], -path.a]))
     th = np.array([0.3, -4.0, 11.5])
@@ -442,7 +432,7 @@ def test_array_evaluation_stays_within_the_rounding_bound(shape, n_terms):
     th = np.concatenate(([0.0, -0.0, 1e12, -1e12, TWO_PI, np.pi], rng.uniform(-50.0, 50.0, 19)))
     got = np.array(path.eval_with_deriv(th))
     want = np.array(curve_sum_longdouble(k, a, th))
-    assert np.all(np.abs(got - want) <= _bounds(k, a)[:, None])
+    assert np.all(np.abs(got - want) <= rounding_bounds(k, a)[:, None])
     assert np.array_equal(got[:2], path.eval(th))
 
 
