@@ -3,10 +3,13 @@
 A curve is the finite sum ``x(th) + i*y(th) = sum a_k*exp(i*k*th)`` of its
 complex coefficients.  A spectrum (``spectrum.Spectrum``) is such a curve,
 with the transform's coefficients as its terms, so a full N-point spectrum
-passes through the data samples at ``th = 2*pi*n/N``.  A scalar parameter,
-or a stack (the step loop), takes a table of terms: one shared trig
-evaluation of ``x = sum |a_k|*cos(k*th + arg a_k)``, ``y = sum |a_k|*sin(...)``.
-An array on one curve takes Horner's rule in ``w = exp(i*th)`` (in conj(w)
+passes through the data samples at ``th = 2*pi*n/N``.  A scalar on one
+curve, or one parameter per curve of a stack, takes a table of terms: one
+shared trig evaluation of ``x = sum |a_k|*cos(k*th + arg a_k)``,
+``y = sum |a_k|*sin(...)``, with the derivatives from the same cosines and
+sines, two dot products in all.  A Python float on one curve (the step
+loop's call) goes to it directly; any other scalar type takes the generic
+checks first.  An array on one curve takes Horner's rule in ``w = exp(i*th)`` (in conj(w)
 for k < 0): each point is the same whatever the array's shape, within
 ``4*eps*sum (1+|k|)*|a_k|`` of the exact sum (``|k*a_k|`` for the derivative).  Both are O(K) per
 parameter for K terms.  Evaluation wraps th mod 2*pi, so the curve is
@@ -85,8 +88,8 @@ class TrigPath:
 
     @cached_property
     def _tables(self):
-        """Read-only ``(k as float64, phase in (-pi, pi], |a|, k*|a|)``, held
-        in the instance ``__dict__`` once derived."""
+        """Read-only ``(k as float64, phase in (-pi, pi], (|a|, k*|a|))``, the
+        last one (2, ..., K) table, held in the instance ``__dict__`` once derived."""
         # the float k is what numpy's int64 -> float64 promotion forms in
         # th*k, so every angle is the number the int64 k gives
         kf = self.k.astype(np.float64)
@@ -95,7 +98,7 @@ class TrigPath:
         # angle() returns -pi for a negative real part with a -0.0 imaginary
         # part; fold that onto +pi to keep phases in (-pi, pi].
         phase = np.where(phase <= -np.pi, phase + TWO_PI, phase)
-        tables = (kf, phase, amp, kf * amp)
+        tables = (kf, phase, np.stack((amp, kf * amp)))
         for arr in tables:
             arr.setflags(write=False)
         return tables
@@ -125,21 +128,29 @@ class TrigPath:
         A :class:`UniformGrid` in gives the (S,) arrays at its parameters,
         from one transform of the folded coefficients; a stack refuses it.
         """
+        if type(theta) is float and self.a.ndim == 1:
+            return self._sums(theta % TWO_PI)[:2]
         if isinstance(theta, UniformGrid):
             return self._eval_grid(theta.samples)
         return self._evaluate(theta, 2)
 
     def eval_with_deriv(self, theta):
         """(x, y, dx/dtheta, dy/dtheta) sharing one trig evaluation."""
+        if type(theta) is float and self.a.ndim == 1:
+            return self._sums(theta % TWO_PI)
         return self._evaluate(theta, 4)
 
     # vecdot sums a row the same way whether it stands alone or in a block
     # of any height, where ``@`` picks a kernel by the block's shape.
-    def _sums(self, th):  # (x, y, dx, dy) at the wrapped parameters th
-        kf, phase, amp, kamp = self._tables
-        w = np.exp(1j * (np.multiply.outer(th, kf) + phase))
-        c, s = w.real, w.imag
-        return (np.vecdot(c, amp), np.vecdot(s, amp), -np.vecdot(s, kamp), np.vecdot(c, kamp))
+    def _sums(self, th):  # (x, y, dx, dy): floats at a float, (R,) arrays at an (R, 1) column
+        kf, phase, table = self._tables
+        w = np.exp(1j * (th * kf + phase))
+        # each curve's (x, dy) from the cosines, (y, -dx) from the sines
+        xdy, ydx = np.vecdot(w.real, table), np.vecdot(w.imag, table)
+        if self.a.ndim == 1:
+            xdy, ydx = xdy.tolist(), ydx.tolist()
+        # indexing, since unpacking an array iterates it, at twice the cost
+        return xdy[0], ydx[0], -ydx[1], xdy[1]
 
     def _evaluate(self, theta, n):
         """The first n of (x, y, dx, dy) at theta.
@@ -153,16 +164,15 @@ class TrigPath:
         round alike wherever a parameter sits in an array; numpy's complex
         kernels do not.
         """
-        # a lone curve at a scalar: float % wraps as np.mod does, -0.0 included;
-        # isinstance first, since np.ndim builds a 0-d array from a float
-        if self.a.ndim == 1 and (isinstance(theta, float) or np.ndim(theta) == 0):
-            return tuple(map(float, self._sums(float(theta) % TWO_PI)[:n]))
+        # a lone curve at a scalar: float % wraps as np.mod does, -0.0 included
+        if self.a.ndim == 1 and np.ndim(theta) == 0:
+            return self._sums(float(theta) % TWO_PI)[:n]
         th = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI)
         if self.a.ndim == 2:
             if th.shape != self.a.shape[:1]:
                 raise ValueError(f"a stack of {self.a.shape[0]} curves takes "
                                  f"one parameter per curve, got shape {th.shape}")
-            return self._sums(th)[:n]
+            return self._sums(th[:, None])[:n]
         (gaps, coefs), flat = self._horner, th.ravel()
         out = np.empty((n, flat.size))
         for start in range(0, flat.size, _BLOCK_ROWS):

@@ -148,6 +148,23 @@ def test_scalar_is_the_bytes_of_its_stack_column_within_the_bound(data):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
+def test_float_on_one_curve_is_the_bytes_of_every_other_scalar_form(data):
+    # a Python float takes the direct path to the term sum, the rest the generic one
+    k = _indices(data, data.draw(st.sampled_from([8, 60, 1200]), label="max_terms"))
+    a = _coefficients(data, 1, k, (-300, 150))[0]
+    path, th = TrigPath(k, a), float(_thetas(data, 1)[0])
+    point = path.eval_with_deriv(th)
+    assert all(type(v) is float for v in point)
+    want = np.array(point).tobytes()
+    for form in (np.float64(th), np.array(th)):
+        assert np.array(path.eval_with_deriv(form)).tobytes() == want
+    column = TrigPath(k, a[None]).eval_with_deriv(np.array([th]))
+    assert np.array(column)[:, 0].tobytes() == want
+    assert np.array(path.eval(th)).tobytes() == np.array(point[:2]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
 def test_array_shapes_give_the_same_bytes_within_the_bound(data):
     # a (1,) array, one array over blocks of 1 to 7 rows, and a 2-D array
     k = _indices(data, data.draw(st.sampled_from([8, 60, 1200]), label="max_terms"))

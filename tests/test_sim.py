@@ -1,6 +1,8 @@
 import io
 import re
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -160,6 +162,32 @@ class TestIntegrate:
             assert np.array_equal(batch.t, lone.t)
             for name in ("x", "y", "theta", "phi1", "phi2", "v1", "e_inst"):
                 assert np.array_equal(getattr(batch, name)[:, r], getattr(lone, name)), name
+
+    def test_runs_on_two_threads_give_the_bytes_of_runs_in_turn(self):
+        # a curve holds no scratch: the same lone curve and the same stack,
+        # each run twice at once, tables built on the threads
+        cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=1.0, dt=1e-3)
+
+        def jobs():
+            truth, curves = noisy_curves([1, 2, 3], sigma=0.1)
+            lone, stack = curves[0], stacked(curves)
+            return [(lone, truth), (lone, truth), (stack, truth), (stack, truth)]
+
+        def run(job):
+            return integrate(job[0], UNIT, cfg, truth=job[1])
+
+        in_turn = [run(job) for job in jobs()]
+        # switch threads often, so the stages of the two runs interleave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                at_once = list(pool.map(run, jobs(), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(at_once, in_turn):
+            for name in ("t", "x", "y", "theta", "phi1", "phi2", "v1", "e_inst"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_stack_names_the_curve_that_diverges_first(self):
         # alone, these curves diverge at steps 23, 22, 22 and 23: curve 1

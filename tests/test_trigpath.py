@@ -346,6 +346,15 @@ def test_table_set_is_built_only_on_pointwise_use():
     w.eval_with_deriv(np.linspace(0.0, 7.0, 5))
     assert w._tables is tables and "_horner" in vars(w)
     assert tables[0].dtype == np.float64 and np.array_equal(tables[0], w.k.astype(np.float64))
+    # one (2, ..., K) table of |a| and k*|a|, for one curve and for a stack
+    amp = np.abs(w.a)
+    assert np.array_equal(tables[2], [amp, w.k * amp])
+    stack = TrigPath(w.k, np.stack((w.a, 2 * w.a)))
+    assert "_tables" not in vars(stack)
+    stack.eval_with_deriv(np.array([0.3, 0.4]))
+    table = vars(stack)["_tables"][2]
+    assert not table.flags.writeable
+    assert np.array_equal(table, [[amp, 2 * amp], [w.k * amp, w.k * 2 * amp]])
 
 
 def _reference_with_deriv(k, a, th):
