@@ -7,13 +7,12 @@ passes through the data samples at ``th = 2*pi*n/N``.  A scalar on one
 curve, or one parameter per curve of a stack, takes a table of terms: one
 shared trig evaluation of ``x = sum |a_k|*cos(k*th + arg a_k)``,
 ``y = sum |a_k|*sin(...)``, with the derivatives from the same cosines and
-sines, two dot products in all.  A Python float on one curve (the step
-loop's call) goes to it directly; any other scalar type takes the generic
-checks first.  An array on one curve takes Horner's rule in ``w = exp(i*th)`` (in conj(w)
-for k < 0): each point is the same whatever the array's shape, within
-``4*eps*sum (1+|k|)*|a_k|`` of the exact sum (``|k*a_k|`` for the derivative).  Both are O(K) per
-parameter for K terms.  Evaluation wraps th mod 2*pi, so the curve is
-2*pi-periodic and stays accurate for large unwrapped parameters.
+sines, two dot products in all.  An array on one curve takes Horner's rule
+in ``w = exp(i*th)`` (in conj(w) for k < 0): each point is the same whatever
+the array's shape, within ``4*eps*sum (1+|k|)*|a_k|`` of the exact sum
+(``|k*a_k|`` for the derivative).  Both are O(K) per parameter for K terms.
+Evaluation wraps th mod 2*pi, so the curve is 2*pi-periodic and stays
+accurate for large unwrapped parameters.
 
 On the uniform grid ``th_j = 2*pi*j/S`` (a :class:`UniformGrid`) the
 points come from one length-S transform instead: with the coefficients
@@ -128,16 +127,12 @@ class TrigPath:
         A :class:`UniformGrid` in gives the (S,) arrays at its parameters,
         from one transform of the folded coefficients; a stack refuses it.
         """
-        if type(theta) is float and self.a.ndim == 1:
-            return self._sums(theta % TWO_PI)[:2]
         if isinstance(theta, UniformGrid):
             return self._eval_grid(theta.samples)
         return self._evaluate(theta, 2)
 
     def eval_with_deriv(self, theta):
         """(x, y, dx/dtheta, dy/dtheta) sharing one trig evaluation."""
-        if type(theta) is float and self.a.ndim == 1:
-            return self._sums(theta % TWO_PI)
         return self._evaluate(theta, 4)
 
     # vecdot sums a row the same way whether it stands alone or in a block
@@ -164,8 +159,9 @@ class TrigPath:
         round alike wherever a parameter sits in an array; numpy's complex
         kernels do not.
         """
-        # a lone curve at a scalar: float % wraps as np.mod does, -0.0 included
-        if self.a.ndim == 1 and np.ndim(theta) == 0:
+        # a lone curve at a scalar: float % wraps as np.mod does, -0.0 included;
+        # isinstance first, since np.ndim builds a 0-d array from a float
+        if self.a.ndim == 1 and (isinstance(theta, float) or np.ndim(theta) == 0):
             return self._sums(float(theta) % TWO_PI)[:n]
         th = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI)
         if self.a.ndim == 2:

@@ -149,7 +149,7 @@ def test_scalar_is_the_bytes_of_its_stack_column_within_the_bound(data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_float_on_one_curve_is_the_bytes_of_every_other_scalar_form(data):
-    # a Python float takes the direct path to the term sum, the rest the generic one
+    # a Python float, a numpy float, a 0-d array and a stack column: one term sum
     k = _indices(data, data.draw(st.sampled_from([8, 60, 1200]), label="max_terms"))
     a = _coefficients(data, 1, k, (-300, 150))[0]
     path, th = TrigPath(k, a), float(_thetas(data, 1)[0])
