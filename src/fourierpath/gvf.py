@@ -62,6 +62,8 @@ class GvfParams:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        # (k1, k2) as a column, which scales a stack's (2, R) offsets at once
+        object.__setattr__(self, "_column", np.array([[self.k1], [self.k2]]))
 
 
 @dataclass(eq=False)
@@ -79,19 +81,29 @@ class NonSingularityReport:
         return not self.zero_field_states and not self.certificate_failures
 
 
-def _field_terms(path: TrigPath, x, y, theta, params: GvfParams):
-    """Offsets, curve tangent and field: ``(phi1, phi2, dxdt, dydt, (cx, cy, ct))``.
+def _field_terms(path: TrigPath, state, params: GvfParams):
+    """Offsets, curve tangent and field at ``state``: ``(phi, (dxdt, dydt), chi)``.
 
     d(phi)/dth is minus the tangent, so with u = k*phi the field is
-    (dxdt - u1, dydt - u2, 1 + u1*dxdt + u2*dydt).  Broadcasts over array
-    inputs; returns plain floats for scalar inputs.
+    (dxdt - u1, dydt - u2, 1 + u1*dxdt + u2*dydt).  One curve takes (x, y,
+    theta) as floats or arrays and gives tuples; a stack of R curves takes a
+    (3, R) array and gives (2, R), (2, R) and (3, R) blocks in the floats' order.
     """
+    if path.a.ndim == 2:
+        c = path.eval_with_deriv(state[2])
+        phi, tangent, chi = state[:2] - c[:2], c[2:], np.empty(state.shape)
+        u = params._column * phi
+        np.subtract(tangent, u, out=chi[:2])
+        ut = u * tangent
+        np.add(1.0 + ut[0], ut[1], out=chi[2])
+        return phi, tangent, chi
+    x, y, theta = state
     px, py, dxdt, dydt = path.eval_with_deriv(theta)
     phi1 = x - px
     phi2 = y - py
     u1 = params.k1 * phi1
     u2 = params.k2 * phi2
-    return phi1, phi2, dxdt, dydt, (dxdt - u1, dydt - u2, 1.0 + u1 * dxdt + u2 * dydt)
+    return (phi1, phi2), (dxdt, dydt), (dxdt - u1, dydt - u2, 1.0 + u1 * dxdt + u2 * dydt)
 
 
 def lyapunov_rate(path: TrigPath, state: FieldState, params: GvfParams) -> float:
@@ -99,8 +111,8 @@ def lyapunov_rate(path: TrigPath, state: FieldState, params: GvfParams) -> float
 
     Computed as grad(V1) . chi; it is <= 0 up to rounding at every state.
     """
-    phi1, phi2, dxdt, dydt, (cx, cy, ct) = _field_terms(
-        path, state.x, state.y, state.theta, params
+    (phi1, phi2), (dxdt, dydt), (cx, cy, ct) = _field_terms(
+        path, (state.x, state.y, state.theta), params
     )
     gx = 2.0 * params.k1 * phi1
     gy = 2.0 * params.k2 * phi2
@@ -146,7 +158,7 @@ def verify_nonsingular(
 
 def _scan_states(path, params, xs, ys, ths, report):
     """Record the field's norms and vanishing rows at the states; returns the field."""
-    cx, cy, ct = chi = _field_terms(path, xs, ys, ths, params)[4]
+    cx, cy, ct = chi = _field_terms(path, (xs, ys, ths), params)[2]
     norm = np.sqrt(cx * cx + cy * cy + ct * ct)
     report.min_field_norm = min(report.min_field_norm, float(norm.min()))
     for i in np.nonzero(norm == 0.0)[0]:

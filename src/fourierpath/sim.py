@@ -2,16 +2,16 @@
 
 The step loop takes classic fourth-order Runge-Kutta steps from t = 0 to
 the duration, which dt divides, and records the state and the curve
-offsets at every step from a given time on.  The state is one value per
-component, x, y and theta, and each RK4 formula is applied to each
-component alone.  The quadratic energy V1 and the squared distance to a
-reference curve are computed from those rows once the loop ends, so
-trajectories can be audited after the fact.
+offsets at every step from a given time on.  For one curve the state is
+three floats, x, y and theta, and each RK4 formula is applied to each
+alone.  The quadratic energy V1 and the squared distance to a reference
+curve are computed from those rows once the loop ends, so trajectories
+can be audited after the fact.
 
 The same loop integrates a stack of R curves (see ``TrigPath``) at once:
-each component is then an (R,) array instead of a float, every recorded
-array gains a trailing run axis, and column r is byte for byte the
-trajectory that following curve r alone gives.
+the state is then one (3, R) array, each RK4 formula is applied to it as
+one block, every recorded array gains a trailing run axis, and column r
+is byte for byte the trajectory that following curve r alone gives.
 
 The recorded rows are checked for divergence one block of ``_CHECK_ROWS``
 rows at a time, not at every step, so a diverging run may step up to one
@@ -150,8 +150,8 @@ def integrate(
     the followed path itself is the reference, in which case
     e_inst = phi1^2 + phi2^2.  V1 and e_inst are formed on the kept rows.
 
-    The state is stepped one component at a time: x, y and theta are
-    floats for one curve and (R,) arrays for a stack.
+    The state is three floats for one curve, each stepped alone, and one
+    (3, R) array for a stack, stepped as one block in the same operations.
 
     Raises :class:`IntegrationError` with the offending step index when the
     state leaves the finite range, which almost always means dt is too
@@ -172,18 +172,25 @@ def integrate(
     block = np.empty((_CHECK_ROWS, 5, *runs))
     kept = np.empty((t.size, 5, *runs))
 
-    # one value per component: floats for one curve, (R,) arrays for a stack
-    x, y, th = (np.full(runs, float(v)) if runs else float(v)
-                for v in (cfg.eta0.x, cfg.eta0.y, cfg.eta0.theta))
-    h, sixth, two = 0.5 * dt, dt / 6.0, 2.0
+    # the state: three floats for one curve, one (3, R) array for a stack
+    s = (float(cfg.eta0.x), float(cfg.eta0.y), float(cfg.eta0.theta))
+    h, sixth, two, one = 0.5 * dt, dt / 6.0, 2.0, 1.0
     if runs:
-        # numpy scales an (R,) array by a 0-d array faster than by a float
-        dt, h, sixth, two = (np.array(v) for v in (dt, h, sixth, two))
+        s = np.repeat(np.array(s)[:, None], runs, axis=1)
+        # numpy scales an array by a 0-d array faster than by a float
+        dt, h, sixth, two, one = (np.array(v) for v in (dt, h, sixth, two, one))
+
+        def ahead(s, w, f):
+            return s + w * f
+    else:
+        def ahead(s, w, f):
+            return s[0] + w * f[0], s[1] + w * f[1], s[2] + w * f[2]
     start = 0  # the row block[0] holds
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps + 1):
-            phi1, phi2, _, _, (ax, ay, at) = _field_terms(path, x, y, th, params)
-            block[i - start] = (x, y, th, phi1, phi2)
+            phi, _, a = _field_terms(path, s, params)
+            # a row is the state, then the offsets
+            block[i - start] = np.concatenate((s, phi)) if runs else s + phi
             if i == n_steps or i - start == _CHECK_ROWS - 1:
                 _check_bounded(block[:i + 1 - start], start, cfg.dt)
                 if i >= first:
@@ -193,12 +200,11 @@ def integrate(
             if i == n_steps:
                 break
 
-            bx, by, bt = _field_terms(path, x + h * ax, y + h * ay, th + h * at, params)[4]
-            cx, cy, ct = _field_terms(path, x + h * bx, y + h * by, th + h * bt, params)[4]
-            dx, dy, dth = _field_terms(path, x + dt * cx, y + dt * cy, th + dt * ct, params)[4]
-            x = x + sixth * (ax + two * bx + two * cx + dx)
-            y = y + sixth * (ay + two * by + two * cy + dy)
-            th = th + sixth * (at + two * bt + two * ct + dth)
+            b = _field_terms(path, ahead(s, h, a), params)[2]
+            c = _field_terms(path, ahead(s, h, b), params)[2]
+            d = _field_terms(path, ahead(s, dt, c), params)[2]
+            # the step s + dt/6*(((a + 2b) + 2c) + d), one s + w*f at a time (1.0*d is d)
+            s = ahead(s, sixth, ahead(ahead(ahead(a, two, b), two, c), one, d))
 
     x, y, theta, phi1, phi2 = np.moveaxis(kept, 1, 0)
     v1 = params.k1 * phi1 * phi1 + params.k2 * phi2 * phi2

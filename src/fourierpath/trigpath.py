@@ -22,7 +22,8 @@ O(S log S + K) rather than O(S*K).
 
 A ``TrigPath`` may also hold a stack of R curves over one shared ``k``:
 ``a`` is then an (R, K) array, and evaluating it at R parameters pairs
-parameter r with curve r.  Each curve of a stack rounds exactly like the
+parameter r with curve r, into one (4, R) array of rows x, y, dx, dy (the
+first two for ``eval``).  Each curve of a stack rounds exactly like the
 same curve held alone at a scalar, as long as both have the same terms.
 """
 
@@ -43,6 +44,8 @@ TWO_PI = 2.0 * math.pi
 # parameters of one curve evaluated at once by the Horner recurrence, whose
 # scratch is about 100 B a parameter (200 B with the derivative)
 _BLOCK_ROWS = 1024
+# numpy multiplies an array by a 0-d array faster than by a Python scalar
+_I, _TWO_PI = np.array(1j), np.array(TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -137,15 +140,19 @@ class TrigPath:
 
     # vecdot sums a row the same way whether it stands alone or in a block
     # of any height, where ``@`` picks a kernel by the block's shape.
-    def _sums(self, th):  # (x, y, dx, dy): floats at a float, (R,) arrays at an (R, 1) column
+    def _sums(self, th):  # (x, y, dx, dy): floats at a float, one (4, R) array at an (R, 1) column
         kf, phase, table = self._tables
-        w = np.exp(1j * (th * kf + phase))
+        w = np.exp(_I * (th * kf + phase))
         # each curve's (x, dy) from the cosines, (y, -dx) from the sines
-        xdy, ydx = np.vecdot(w.real, table), np.vecdot(w.imag, table)
         if self.a.ndim == 1:
-            xdy, ydx = xdy.tolist(), ydx.tolist()
-        # indexing, since unpacking an array iterates it, at twice the cost
-        return xdy[0], ydx[0], -ydx[1], xdy[1]
+            xdy, ydx = np.vecdot(w.real, table).tolist(), np.vecdot(w.imag, table).tolist()
+            # indexing, since unpacking an array iterates it, at twice the cost
+            return xdy[0], ydx[0], -ydx[1], xdy[1]
+        out = np.empty((4, self.a.shape[0]))
+        np.vecdot(w.real, table, out=out[::3])
+        np.vecdot(w.imag, table, out=out[1:3])
+        np.negative(out[2], out=out[2])
+        return out
 
     def _evaluate(self, theta, n):
         """The first n of (x, y, dx, dy) at theta.
@@ -163,7 +170,7 @@ class TrigPath:
         # isinstance first, since np.ndim builds a 0-d array from a float
         if self.a.ndim == 1 and (isinstance(theta, float) or np.ndim(theta) == 0):
             return self._sums(float(theta) % TWO_PI)[:n]
-        th = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI)
+        th = np.mod(np.asarray(theta, dtype=np.float64), _TWO_PI)
         if self.a.ndim == 2:
             if th.shape != self.a.shape[:1]:
                 raise ValueError(f"a stack of {self.a.shape[0]} curves takes "

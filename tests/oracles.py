@@ -157,3 +157,23 @@ def rk4_step_reference(ks, avals, k1, k2, state, dt, weights=(1.0, 2.0, 2.0, 1.0
     f4 = f(state + dt * f3)
     w1, w2, w3, w4 = weights
     return state + dt * (w1 * f1 + w2 * f2 + w3 * f3 + w4 * f4) / sum(weights)
+
+
+def term_sum_exp_form(ks, avals, theta):
+    """(x, y, dx/dth, dy/dth) of sum a_k*exp(i*k*th) as a table of terms sums it.
+
+    th is theta wrapped mod 2*pi.  The rotations are exp(1j*(th*k + arg a_k)),
+    with angle's -pi folded onto +pi, and each curve's sums are two vecdots
+    against its (|a_k|, k*|a_k|) table: the cosines give (x, dy/dth), the
+    sines (y, -dx/dth).  ``avals`` is (K,) at a scalar theta, or (R, K) at R
+    parameters, one per row.  Returns float64 arrays of theta's shape.
+    """
+    k = np.asarray(ks, dtype=np.int64).astype(np.float64)
+    a = np.asarray(avals, dtype=np.complex128)
+    th = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI)[..., None]
+    phase = np.angle(a)
+    phase = np.where(phase <= -np.pi, phase + TWO_PI, phase)
+    w = np.exp(1j * (th * k + phase))
+    table = np.stack((np.abs(a), k * np.abs(a)))
+    (x, dy), (y, minus_dx) = np.vecdot(w.real, table), np.vecdot(w.imag, table)
+    return x, y, -minus_dx, dy

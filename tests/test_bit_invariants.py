@@ -2,8 +2,9 @@
 with small block constants so that every block edge is reached by small
 inputs: a stack column is its curve's lone run, a run kept from ``since``
 is the full run's tail, every array shape and every scalar evaluates a
-point to the same bytes within the rounding bound of the exact sum, and a
-written table is ``np.savetxt``'s and reads back exactly."""
+point to the same bytes within the rounding bound of the exact sum, the
+table of terms sums to the bytes of its ``exp`` form, and a written table
+is ``np.savetxt``'s and reads back exactly."""
 
 import io
 import tempfile
@@ -17,12 +18,14 @@ from hypothesis import strategies as st
 from fourierpath import (FieldState, GvfParams, IntegrationError, SimConfig, TrigPath, integrate,
                          load_path, pathdata, sim, trigpath)
 
-from oracles import curve_sum_longdouble, rounding_bounds
+from oracles import curve_sum_longdouble, rounding_bounds, term_sum_exp_form
 
 _FIELDS = ("t", "x", "y", "theta", "phi1", "phi2", "v1", "e_inst")
 # horizons of 8 to 40 steps, each dt dividing its duration
 _HORIZONS = [(0.4, 0.05), (0.4, 0.01), (1.0, 0.1), (1.0, 0.025), (2.0, 0.25)]
 _SPECIAL_THETAS = [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, 1e12, -1e12, 5e-324]
+# and the largest double below 2*pi, which the wrap leaves as it is
+_TERM_THETAS = [*_SPECIAL_THETAS, float(np.nextafter(2 * np.pi, 0.0))]
 
 
 def _blocks(mp, data):
@@ -182,6 +185,37 @@ def test_array_shapes_give_the_same_bytes_within_the_bound(data):
     assert flat.tobytes() == table.tobytes() == alone.tobytes()
     exact = np.array(curve_sum_longdouble(k, a, th))
     assert np.all(np.abs(flat - exact) <= rounding_bounds(k, a)[:, None])
+
+
+def _signed_zero_coefficients(data, rows, k):
+    """(rows, K) coefficients whose real and imaginary parts are often +0.0 or
+    -0.0, so angle() meets a -0.0 phase and its fold of -pi onto +pi."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    parts = 10.0 ** data.draw(st.integers(-300, 150), label="decade") * rng.standard_normal(
+        (2, rows, k.size))
+    zero = rng.random(parts.shape) < 0.3
+    parts[zero] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zero)))
+    # set part by part: 1j * -0.0 would drop the sign of a zero imaginary part
+    a = np.empty((rows, k.size), dtype=np.complex128)
+    a.real, a.imag = parts
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_term_sum_is_the_bytes_of_the_exp_form(data):
+    # a stack at one parameter per curve and each curve alone at a float
+    runs = data.draw(st.integers(1, 4), label="runs")
+    k = _indices(data, data.draw(st.sampled_from([8, 60, 1200]), label="max_terms"))
+    a = _signed_zero_coefficients(data, runs, k)
+    th = np.array(data.draw(st.lists(st.sampled_from(_TERM_THETAS) | st.floats(-1e12, 1e12),
+                                     min_size=runs, max_size=runs), label="theta"))
+    event(f"{np.count_nonzero(th == 0.0)} zero parameters")
+    stack = np.array(TrigPath(k, a).eval_with_deriv(th))
+    assert stack.tobytes() == np.array(term_sum_exp_form(k, a, th)).tobytes()
+    for r in range(runs):
+        lone = np.array(TrigPath(k, a[r]).eval_with_deriv(float(th[r])))
+        assert lone.tobytes() == np.array(term_sum_exp_form(k, a[r], th[r])).tobytes()
 
 
 _VALUES = (st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e150, -1e150, 1 / 3])

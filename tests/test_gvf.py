@@ -29,11 +29,11 @@ def _paths():
 
 
 def _offsets(path, x, y, theta):
-    return _field_terms(path, x, y, theta, UNIT)[:2]
+    return _field_terms(path, (x, y, theta), UNIT)[0]
 
 
 def _field(path, x, y, theta, params=UNIT):
-    return np.array(_field_terms(path, x, y, theta, params)[4])
+    return np.array(_field_terms(path, (x, y, theta), params)[2])
 
 
 def _v1(path, x, y, theta, params):
@@ -89,7 +89,7 @@ class TestChi:
             fd1 = (p1p - p1m) / (2 * h)
             fd2 = (p2p - p2m) / (2 * h)
             # d(phi)/dth is minus the curve tangent
-            _, _, dxdt, dydt, _ = _field_terms(path, x, y, th, UNIT)
+            _, (dxdt, dydt), _ = _field_terms(path, (x, y, th), UNIT)
             assert fd1 == pytest.approx(-dxdt, abs=1e-5)
             assert fd2 == pytest.approx(-dydt, abs=1e-5)
 

@@ -55,11 +55,11 @@ def array_state_rk4(path, params, cfg):
     s[0], s[1], s[2] = cfg.eta0.x, cfg.eta0.y, cfg.eta0.theta
 
     def rhs(state):
-        return np.array(_field_terms(path, state[0], state[1], state[2], params)[4])
+        return np.array(_field_terms(path, state, params)[2])
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n + 1):
-            phi1, phi2, _, _, chi = _field_terms(path, s[0], s[1], s[2], params)
+            (phi1, phi2), _, chi = _field_terms(path, s, params)
             rows[i] = (s[0], s[1], s[2], phi1, phi2)
             if i == n:
                 break
@@ -110,12 +110,12 @@ class TestIntegrate:
         traj = integrate(path, params, SimConfig(FieldState(-1.0, 2.0, 0.5), 2.0, dt))
         state = np.stack((traj.x, traj.y, traj.theta))
         assert np.array_equal(state[:, 0], [-1.0, 2.0, 0.5])
-        phi1, phi2 = _field_terms(path, *state, params)[:2]
+        phi1, phi2 = _field_terms(path, state, params)[0]
         assert np.allclose(traj.phi1, phi1, rtol=1e-12, atol=1e-15)
         assert np.allclose(traj.phi2, phi2, rtol=1e-12, atol=1e-15)
 
         def rhs(s):
-            return np.array(_field_terms(path, *s, params)[4])
+            return np.array(_field_terms(path, s, params)[2])
 
         # recompute, from every row but the last, one step to the next row
         s = state[:, :-1]
@@ -162,6 +162,30 @@ class TestIntegrate:
             assert np.array_equal(batch.t, lone.t)
             for name in ("x", "y", "theta", "phi1", "phi2", "v1", "e_inst"):
                 assert np.array_equal(getattr(batch, name)[:, r], getattr(lone, name)), name
+
+    @pytest.mark.parametrize("stack", [False, True], ids=["lone", "stack"])
+    def test_each_step_evaluates_the_field_and_the_curve_four_times(self, monkeypatch, stack):
+        # one call of each per RK4 stage, and one more at the last row: the
+        # per-stage boundaries, gvf.field and trigpath.eval_with_deriv, that
+        # perfbench's tracer predicts and counts
+        truth, curves = noisy_curves([1, 2, 3], sigma=0.1)
+        path = stacked(curves) if stack else curves[0]
+        calls = {"field": 0, "curve": 0}
+        field, curve = sim._field_terms, TrigPath.eval_with_deriv
+
+        def spy_field(*args):
+            calls["field"] += 1
+            return field(*args)
+
+        def spy_curve(self, theta):
+            calls["curve"] += 1
+            return curve(self, theta)
+
+        monkeypatch.setattr(sim, "_field_terms", spy_field)
+        monkeypatch.setattr(TrigPath, "eval_with_deriv", spy_curve)
+        cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=0.05, dt=1e-3)
+        integrate(path, UNIT, cfg, truth=truth)
+        assert calls == {"field": 4 * cfg.steps + 1, "curve": 4 * cfg.steps + 1}
 
     def test_runs_on_two_threads_give_the_bytes_of_runs_in_turn(self):
         # a curve holds no scratch: the same lone curve and the same stack,

@@ -226,6 +226,8 @@ def test_stack_pairs_parameter_r_with_curve_r():
     stack = TrigPath(curves[0].k, np.stack([c.a for c in curves]))
     th = np.array([0.3, -2.0, 40.0])
     point, both = stack.eval(th), stack.eval_with_deriv(th)
+    # one array of rows x, y, dx, dy, the first two for eval
+    assert both.shape == (4, 3) and point.shape == (2, 3)
     for r, curve in enumerate(curves):
         assert tuple(v[r] for v in point) == curve.eval(th[r])
         assert tuple(v[r] for v in both) == curve.eval_with_deriv(th[r])
