@@ -19,7 +19,7 @@ from .gvf import (
     lyapunov_rate,
     verify_nonsingular,
 )
-from .sim import IntegrationError, SimConfig, Trajectory, convergence_time, integrate
+from .sim import IntegrationError, SimConfig, Trajectory, integrate
 from .analysis import (
     ErrorReport,
     certify,
@@ -52,7 +52,6 @@ __all__ = [
     "IntegrationError",
     "SimConfig",
     "Trajectory",
-    "convergence_time",
     "integrate",
     "ErrorReport",
     "certify",

@@ -218,11 +218,9 @@ def certify(
     delta = p_bar(clean_spec, m, noise.sigma1, noise.sigma2)
     seeds = np.random.SeedSequence(int(noise.seed)).generate_state(runs, dtype=np.uint64)
     # counted in rows, so no rounding of t moves the first one kept
-    first_kept = -(-9 * cfg.steps // 10)
-    since = cfg.dt * first_kept
+    tail = range(-(-9 * cfg.steps // 10), cfg.steps + 1)
     # a run keeps those rows, and its curve has the terms of the clean spectrum's window
-    kept, terms = cfg.steps - first_kept + 1, apply_window(clean_spec, m).k.size
-    batch = max(1, _ROW_BUDGET // max(kept, terms))
+    batch = max(1, _ROW_BUDGET // max(len(tail), apply_window(clean_spec, m).k.size))
 
     e_runs: list[float] = []
     p_runs: list[float] = []
@@ -234,7 +232,7 @@ def certify(
         stack = (TrigPath(followed[0].k, np.stack([path.a for path in followed]))
                  if len(followed) > 1 else followed[0])
         try:
-            traj = integrate(stack, params, cfg, clean_spec, since)
+            traj = integrate(stack, params, cfg, clean_spec, tail)
         except IntegrationError as exc:
             run = first + (exc.curve or 0)
             raise IntegrationError(exc.step, f"run {run}: {exc}", run) from exc

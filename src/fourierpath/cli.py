@@ -132,15 +132,17 @@ def _cmd_simulate(cfg: RunConfig, clean: pathdata.PathSamples, out: Path) -> Non
     # against the clean full reconstruction; otherwise against the followed
     # curve itself
     truth = spectrum.dft(clean) if data is not clean else None
-    traj = sim.integrate(followed, _params(cfg), _sim_config(cfg), truth=truth)
+    run = _sim_config(cfg)
+    traj = sim.integrate(followed, _params(cfg), run, truth,
+                         range(0, run.steps + 1, cfg.stride), cfg.conv_tol)
     target = out / "trajectory.csv"
     with open(target, "w", newline="\n") as fh:
-        traj.write_csv(fh, stride=cfg.stride)
-    t_conv = sim.convergence_time(traj, cfg.conv_tol)
-    print(f"rows={traj.n_rows} stride={cfg.stride}")
+        traj.write_csv(fh)
+    t_conv = traj.convergence_time
+    print(f"rows={run.steps + 1} stride={cfg.stride}")
     print(f"convergence_time={'none' if t_conv is None else format(t_conv, '.17g')}"
           f" (tol={cfg.conv_tol:.17g})")
-    print(f"final_V1={traj.v1[-1]:.17g} final_e={traj.e_inst[-1]:.17g}")
+    print(f"final_V1={traj.final.v1[0]:.17g} final_e={traj.final.e_inst[0]:.17g}")
     print(f"wrote {target}")
 
 

@@ -1,28 +1,31 @@
 """Fixed-step integration of the closed loop state' = chi(state).
 
 The step loop takes classic fourth-order Runge-Kutta steps from t = 0 to
-the duration, which dt divides, and records the state and the curve
-offsets at every step from a given time on.  For one curve the state is
-three floats, x, y and theta, and each RK4 formula is applied to each
-alone.  The quadratic energy V1 and the squared distance to a reference
-curve are computed from those rows once the loop ends, so trajectories
-can be audited after the fact.
+the duration, which dt divides, and keeps the state and the curve offsets
+of the rows it is asked for, counted by row index, and of its last row.
+For one curve the state is three floats, x, y and theta, and each RK4
+formula is applied to each alone.  The quadratic energy V1 and the squared
+distance to a reference curve are computed from the kept rows once the
+loop ends, so trajectories can be audited after the fact.
 
 The same loop integrates a stack of R curves (see ``TrigPath``) at once:
 the state is then one (3, R) array, each RK4 formula is applied to it as
-one block, every recorded array gains a trailing run axis, and column r
-is byte for byte the trajectory that following curve r alone gives.
+one block, every kept array gains a trailing run axis, and column r is
+byte for byte the trajectory that following curve r alone gives.
 
-The recorded rows are checked for divergence one block of ``_CHECK_ROWS``
-rows at a time, not at every step, so a diverging run may step up to one
-block past the divergence; the step it reports is still the first one out
-of range.
+Every row is stepped into a block of ``_CHECK_ROWS`` rows, and each full
+block is handled at once, not each step: its range is checked for
+divergence, its kept rows are copied out, and the last row whose offsets
+exceed a convergence tolerance is found in it.  So a run holds one block
+and its kept rows, however many steps it takes, and a diverging run may
+step up to one block past the divergence; the step it reports is still the
+first one out of range.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,16 +33,17 @@ from .gvf import FieldState, GvfParams, _field_terms
 from .pathdata import write_table
 from .trigpath import TrigPath
 
-__all__ = ["IntegrationError", "SimConfig", "Trajectory", "integrate", "convergence_time"]
+__all__ = ["IntegrationError", "SimConfig", "Trajectory", "integrate"]
 
 _DIVERGENCE_LIMIT = 1e12
-# recorded rows whose range is checked at once; a diverging run steps at
-# most this many rows past the divergence before it is reported
+# rows whose range is checked at once; a diverging run steps at most this
+# many rows past the divergence before it is reported
 _CHECK_ROWS = 256
-# most RK4 steps a run may take, a memory guard rail: a simulate keeps every
-# step's row, and its peak resident memory grows by up to about 80 B per step
-# (with or without noise, 16 or 4100 terms), so the largest run the cap
-# admits, about 3.2 GB of rows, stays within 3.6 GB
+# most RK4 steps a run may take, a memory guard rail: a run holds the rows it
+# keeps, and a simulate at stride 1 keeps every step's, so its peak resident
+# memory grows by up to about 80 B per step (with or without noise, 16 or
+# 4100 terms), and the largest run the cap admits, about 3.2 GB of rows,
+# stays within 3.6 GB; at stride 1000 it grows by about 0.5 B per step
 _STEP_LIMIT = 4 * 10**7
 # rows of a trajectory whose reference points are evaluated at once
 _ERROR_CHUNK_ROWS = 4096
@@ -83,20 +87,20 @@ class SimConfig:
         """RK4 steps of a run; its last row is at t = dt*steps, the duration."""
         return round(self.duration / self.dt)
 
-    def first_row(self, since: float) -> int:
-        """Index of a run's first row at t >= since; dt*i rounds monotonically in i."""
-        first = max(0, math.ceil(max(since, 0.0) / self.dt) - 1)
-        while self.dt * first < since:
-            first += 1
-        return first
-
 
 @dataclass(eq=False)
 class Trajectory:
     """Uniform-grid time series of the integrated state and its diagnostics.
 
-    ``t`` has one entry per row.  The other arrays have shape (rows,) for
-    one curve and (rows, R) for a stack of R curves.
+    ``t`` has one entry per kept row.  The other arrays have shape (rows,)
+    for one curve and (rows, R) for a stack of R curves.  ``final`` is the
+    run's last row, at the duration, as a one-row Trajectory, whether it was
+    kept or not.  ``convergence_time`` is the first t from which every run's
+    phi1^2 + phi2^2 stays within the tolerance :func:`integrate` was given,
+    over every row stepped; it is None without a tolerance, or when the last
+    row is above it (with a tolerance of 0 that is the typical outcome: the
+    offsets do not hit floating-point zero unless the start was exactly on
+    the path).
     """
 
     t: np.ndarray
@@ -107,24 +111,28 @@ class Trajectory:
     phi2: np.ndarray
     v1: np.ndarray
     e_inst: np.ndarray
+    final: Trajectory | None = None
+    convergence_time: float | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            getattr(self, f.name).setflags(write=False)
+        for column in self.columns:
+            column.setflags(write=False)
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The arrays t, x, y, theta, phi1, phi2, v1 and e_inst, in that order."""
+        return self.t, self.x, self.y, self.theta, self.phi1, self.phi2, self.v1, self.e_inst
 
     @property
     def n_rows(self) -> int:
         return self.t.size
 
-    def write_csv(self, fh, stride: int = 1) -> None:
-        """Write ``t,x,y,theta,phi1,phi2,V1,e_inst`` rows 0, stride, 2*stride, ...;
+    def write_csv(self, fh) -> None:
+        """Write the ``t,x,y,theta,phi1,phi2,V1,e_inst`` table of the kept rows;
         a stack of curves has no such table and raises ValueError."""
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
         if self.x.ndim != 1:
             raise ValueError(f"a stack of {self.x.shape[1]} curves has no trajectory table")
-        write_table(fh, "t,x,y,theta,phi1,phi2,V1,e_inst",
-                    [getattr(self, f.name)[::stride] for f in fields(self)])
+        write_table(fh, "t,x,y,theta,phi1,phi2,V1,e_inst", self.columns)
 
 
 def integrate(
@@ -132,13 +140,17 @@ def integrate(
     params: GvfParams,
     cfg: SimConfig,
     truth: TrigPath | None = None,
-    since: float = 0.0,
+    rows: range | None = None,
+    conv_tol: float | None = None,
 ) -> Trajectory:
     """Integrate the guiding field from cfg.eta0 over cfg.duration.
 
     The run takes ``cfg.steps`` steps, its rows at ``t = dt*i`` ending at
-    the duration, and keeps only the rows at ``t >= since`` (at most the
-    last row's t); the rows before are checked but held one block at a time.
+    the duration.  It keeps the rows whose index i is in ``rows``, a rising
+    range within 0..cfg.steps (every row by default), and its last row as
+    the trajectory's ``final``; the other rows are checked but held one
+    block at a time.  With ``conv_tol``, the trajectory's
+    ``convergence_time`` is read from every row stepped, kept or not.
 
     ``path`` is one curve, or a stack of R curves that all start from
     cfg.eta0 and are stepped together; the run axis then trails every
@@ -157,20 +169,23 @@ def integrate(
     state leaves the finite range, which almost always means dt is too
     large for the gains at hand.  For a stack it also names the curve:
     the one that diverges first, ties going to the lowest index.  The range
-    is checked once per block of ``_CHECK_ROWS`` recorded rows, so the loop
-    may step up to one block past the divergence before it raises; the
-    reported step is exact, kept or not.
+    is checked once per block of ``_CHECK_ROWS`` rows, so the loop may step
+    up to one block past the divergence before it raises; the reported step
+    is exact, kept or not.
     """
     n_steps, dt = cfg.steps, cfg.dt
-    if not since <= dt * n_steps:
-        raise ValueError(f"since must be at most the last row's t = {dt * n_steps:g}")
-    first = cfg.first_row(since)
-    t = dt * np.arange(first, n_steps + 1)
+    rows = range(n_steps + 1) if rows is None else rows
+    if not (rows and rows.step > 0 and 0 <= rows[0] and rows[-1] <= n_steps):
+        raise ValueError(f"rows must be a non-empty rising range within 0..{n_steps}")
+    if conv_tol is not None and not (math.isfinite(conv_tol) and conv_tol >= 0):
+        raise ValueError("conv_tol must be finite and >= 0")
     # () for one curve, (R,) for a stack of R
     runs = path.a.shape[:-1]
-    # rows (x, y, theta, phi1, phi2) fill a block, checked at once; kept ones are copied out
+    # rows (x, y, theta, phi1, phi2) fill a block, handled at once: the kept
+    # ones are copied out, and the last slot of kept ends as the last row
     block = np.empty((_CHECK_ROWS, 5, *runs))
-    kept = np.empty((t.size, 5, *runs))
+    kept = np.empty((len(rows) + 1, 5, *runs))
+    above = -1  # the last row whose offsets exceed conv_tol
 
     # the state: three floats for one curve, one (3, R) array for a stack
     s = (float(cfg.eta0.x), float(cfg.eta0.y), float(cfg.eta0.theta))
@@ -192,10 +207,14 @@ def integrate(
             # a row is the state, then the offsets
             block[i - start] = np.concatenate((s, phi)) if runs else s + phi
             if i == n_steps or i - start == _CHECK_ROWS - 1:
-                _check_bounded(block[:i + 1 - start], start, cfg.dt)
-                if i >= first:
-                    lo = max(start, first)
-                    kept[lo - first:i + 1 - first] = block[lo - start:i + 1 - start]
+                done = block[:i + 1 - start]
+                _check_bounded(done, start, cfg.dt)
+                into, out = _kept_in(rows, start, i + 1)
+                kept[into], kept[-1] = done[out], done[-1]
+                if conv_tol is not None:
+                    high = done[:, 3] ** 2 + done[:, 4] ** 2 > conv_tol
+                    hits = np.flatnonzero(high.reshape(len(done), -1).any(axis=1))
+                    above = start + int(hits[-1]) if hits.size else above
                 start = i + 1
             if i == n_steps:
                 break
@@ -208,11 +227,19 @@ def integrate(
 
     x, y, theta, phi1, phi2 = np.moveaxis(kept, 1, 0)
     v1 = params.k1 * phi1 * phi1 + params.k2 * phi2 * phi2
-    if truth is None:
-        e_inst = phi1 * phi1 + phi2 * phi2
-    else:
-        e_inst = _squared_error(truth, x, y, theta)
-    return Trajectory(t, x, y, theta, phi1, phi2, v1, e_inst)
+    e_inst = phi1 * phi1 + phi2 * phi2 if truth is None else _squared_error(truth, x, y, theta)
+    t = cfg.dt * np.append(np.arange(rows.start, rows.stop, rows.step), n_steps)
+    columns = (t, x, y, theta, phi1, phi2, v1, e_inst)
+    conv = None if conv_tol is None or above == n_steps else cfg.dt * (above + 1)
+    return Trajectory(*(c[:-1] for c in columns), Trajectory(*(c[-1:] for c in columns)), conv)
+
+
+def _kept_in(rows: range, start: int, stop: int) -> tuple[slice, slice]:
+    """Where the rows of ``rows`` from ``start`` to ``stop - 1`` go in the kept
+    array, and where they sit in a block whose first row is ``start``."""
+    lo, hi = (len(range(rows.start, min(r, rows.stop), rows.step)) for r in (start, stop))
+    inside = rows[lo:hi]
+    return slice(lo, hi), slice(inside.start - start, inside.stop - start, inside.step)
 
 
 def _check_bounded(rows, start: int, dt: float) -> None:
@@ -246,23 +273,3 @@ def _squared_error(truth: TrigPath, x, y, theta):
         tx, ty = truth.eval(theta[rows])
         e[rows] = (x[rows] - tx) ** 2 + (y[rows] - ty) ** 2
     return e
-
-
-def convergence_time(traj: Trajectory, tol: float) -> float | None:
-    """First time from which phi1^2 + phi2^2 stays <= tol to the end.
-
-    For a stack of curves it is the first time from which every run stays
-    within tol.  Returns None when the condition never holds through the
-    final sample (with tol = 0 that is the typical outcome: the offsets do
-    not hit floating-point zero unless the start was exactly on the path).
-    """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError("tol must be finite and >= 0")
-    v = traj.phi1**2 + traj.phi2**2
-    above = np.nonzero(v > tol)[0]
-    if above.size == 0:
-        return float(traj.t[0])
-    last = int(above[-1])
-    if last == traj.n_rows - 1:
-        return None
-    return float(traj.t[last + 1])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from fourierpath import PathSamples, Spectrum, dft, synth_path
+from fourierpath import GvfParams, PathSamples, Spectrum, TrigPath, dft, synth_path
 
 
 def random_path(n, seed, scale=1.0):
@@ -40,6 +41,21 @@ def decaying_path(n, seed, base=0.6, scale=1.0):
     bins[np.mod(spec.k, n)] = spec.a
     c = np.fft.ifft(bins, norm="forward")
     return PathSamples(np.column_stack((c.real, c.imag)))
+
+
+def random_curve(data):
+    """A hypothesis-drawn curve of 1 to 50 terms, distinct indices in -60..60,
+    whose coefficients of 1e-3 to 10 fall off as 1/(1 + |k|)."""
+    k = np.array(sorted(data.draw(st.lists(st.integers(-60, 60), min_size=1, max_size=50,
+                                           unique=True), label="k")))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    a = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+    return TrigPath(k, a * 10.0 ** rng.uniform(-3, 1, k.size) / (1 + np.abs(k)))
+
+
+def random_gains(data):
+    """Gains k1 and k2 in 1e-2..1e2, each drawn alone, so almost never equal."""
+    return GvfParams(*(10.0 ** data.draw(st.floats(-2, 2), label=name) for name in ("k1", "k2")))
 
 
 @pytest.fixture

@@ -31,7 +31,6 @@ from fourierpath import (
     add_noise,
     apply_window,
     certify,
-    convergence_time,
     dft,
     f_backward,
     integrate,
@@ -176,8 +175,7 @@ def test_criterion_04_lyapunov_decrease():
 def test_criterion_05_circle_convergence(unit_epicycle):
     start = time.perf_counter()
     cfg = SimConfig(FieldState(2.0, 0.0, 0.0), duration=10.0, dt=1e-3)
-    traj = integrate(unit_epicycle, UNIT, cfg)
-    t_conv = convergence_time(traj, 1e-4)
+    t_conv = integrate(unit_epicycle, UNIT, cfg, conv_tol=1e-4).convergence_time
     elapsed = time.perf_counter() - start
     ok = t_conv is not None and t_conv <= 10.0 and elapsed < 2.0
     _report(5, "circle-convergence", ok,

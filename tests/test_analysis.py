@@ -452,8 +452,8 @@ class TestCertify:
 
         cfg = SimConfig(FieldState(1.5, 0, 0), duration, dt)
 
-        def spy(path, params, cfg, truth, since):
-            raise Seen(cfg.first_row(since), path.a.ndim)
+        def spy(path, params, cfg, truth, rows):
+            raise Seen(rows, path.a.ndim)
 
         # two runs of 5 terms each fit the budget only if a run keeps fewer rows
         monkeypatch.setattr(analysis, "_ROW_BUDGET", max(5, 2 * kept - 1))
@@ -461,8 +461,8 @@ class TestCertify:
         with pytest.raises(Seen) as seen:
             certify(synth_path("circle", 16, [1.0]), NoiseSpec(0.1, 0.1, 0), 4, UNIT, cfg,
                     runs=2)
-        first, ndim = seen.value.args
-        assert (cfg.steps - first + 1, ndim) == (kept, 1)
+        rows, ndim = seen.value.args
+        assert (len(rows), rows[-1], rows.step, ndim) == (kept, cfg.steps, 1, 1)
 
     def test_zero_runs_rejected(self):
         clean = synth_path("circle", 32, [1.0])

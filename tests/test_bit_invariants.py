@@ -1,7 +1,7 @@
 """Properties of the bit-for-bit invariants the fast paths rely on, drawn
 with small block constants so that every block edge is reached by small
-inputs: a stack column is its curve's lone run, a run kept from ``since``
-is the full run's tail, every array shape and every scalar evaluates a
+inputs: a stack column is its curve's lone run, a run keeping a range of
+rows holds the full run's rows there, every array shape and every scalar evaluates a
 point to the same bytes within the rounding bound of the exact sum, the
 table of terms sums to the bytes of its ``exp`` form, and a written table
 is ``np.savetxt``'s and reads back exactly."""
@@ -62,10 +62,10 @@ def _thetas(data, size):
         min_size=size, max_size=size), label="theta"))
 
 
-def _run(path, params, cfg, truth, since):
+def _run(path, params, cfg, truth, rows=None, conv_tol=None):
     """The trajectory, or the (step, curve) of the IntegrationError raised."""
     try:
-        return integrate(path, params, cfg, truth, since)
+        return integrate(path, params, cfg, truth, rows, conv_tol)
     except IntegrationError as exc:
         return exc.step, exc.curve
 
@@ -91,8 +91,8 @@ def test_stack_column_is_the_lone_run_of_its_curve(data):
     stack, truth, gains, cfg = _closed_loop(data, runs)
     with pytest.MonkeyPatch.context() as mp:
         _blocks(mp, data)
-        got = _run(stack, gains, cfg, truth, 0.0)
-        alone = [_run(TrigPath(stack.k, a), gains, cfg, truth, 0.0) for a in stack.a]
+        got = _run(stack, gains, cfg, truth)
+        alone = [_run(TrigPath(stack.k, a), gains, cfg, truth) for a in stack.a]
     failed = [(run[0], r) for r, run in enumerate(alone) if isinstance(run, tuple)]
     event(f"{len(failed)} of the runs diverge")
     if failed:
@@ -106,29 +106,34 @@ def test_stack_column_is_the_lone_run_of_its_curve(data):
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_run_from_since_is_the_full_runs_rows_from_its_first_row(data):
+def test_run_keeping_a_range_holds_the_full_runs_rows_there(data):
+    # rows a, a + s, ... to the last, the last row as ``final`` and the
+    # convergence time every row gives, lone and stack
     runs = data.draw(st.integers(1, 3), label="runs")
     path, truth, gains, cfg = _closed_loop(data, runs)
     if runs == 1:
         path = TrigPath(path.k, path.a[0])
-    last = cfg.dt * cfg.steps
-    row = data.draw(st.floats(-1.0, last) | st.integers(0, cfg.steps).map(lambda i: cfg.dt * i),
-                    label="row")
-    # a row's own t, or the next double either side of it
-    toward = data.draw(st.sampled_from([row, -np.inf, np.inf]), label="toward")
-    since = min(last, float(np.nextafter(row, toward)))
+    n = cfg.steps
+    rows = range(data.draw(st.integers(0, n), label="first"), n + 1,
+                 data.draw(st.integers(1, n + 2), label="stride"))
     with pytest.MonkeyPatch.context() as mp:
         _blocks(mp, data)
-        full = _run(path, gains, cfg, truth, 0.0)
-        part = _run(path, gains, cfg, truth, since)
-    event("diverged" if isinstance(full, tuple) else "kept rows")
-    if isinstance(full, tuple):
-        assert part == full
-        return
-    first = cfg.first_row(since)
-    assert full.t[first] >= since and (first == 0 or full.t[first - 1] < since)
+        full = _run(path, gains, cfg, truth)
+        if isinstance(full, tuple):
+            event("diverged")
+            assert _run(path, gains, cfg, truth, rows, 0.0) == full
+            return
+        offsets = (full.phi1**2 + full.phi2**2).reshape(n + 1, -1).max(axis=1)
+        tol = data.draw(st.sampled_from([0.0, *offsets.tolist()]), label="conv_tol")
+        part = _run(path, gains, cfg, truth, rows, tol)
+    above = np.flatnonzero(offsets > tol)
+    want = None if above.size and above[-1] == n else cfg.dt * (above[-1] + 1 if above.size else 0)
+    event("converged" if want is not None else "not converged")
+    assert part.convergence_time == want
     for name in _FIELDS:
-        assert getattr(part, name).tobytes() == getattr(full, name)[first:].tobytes(), name
+        column = getattr(full, name)
+        assert getattr(part, name).tobytes() == column[rows.start::rows.step].tobytes(), name
+        assert getattr(part.final, name).tobytes() == column[-1:].tobytes(), name
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,8 @@
 import argparse
+import ast
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -641,14 +643,14 @@ def test_tables_are_written_as_pinned_text(tmp_path):
     # from values whose digits no libm rounding can move
     spec = spectrum.Spectrum(k=[-1, 0, 1], a=[0.1, -2.5, 1j / 3], n_samples=3)
     curve = trigpath.TrigPath(k=[0], a=[0.1])
-    # 4 rows at stride 2: rows 0 and 2, the last row skipped
-    traj = sim.Trajectory(*(np.arange(32.0).reshape(8, 4) / 3))
+    # rows 0 and 2 of 4, as a run keeping every second row holds them
+    traj = sim.Trajectory(*(np.arange(32.0).reshape(8, 4)[:, ::2] / 3))
     with open(tmp_path / "spectrum.csv", "w", newline="\n") as fh:
         spectrum.write_spectrum_csv(spec, fh)
     with open(tmp_path / "reconstruction.csv", "w", newline="\n") as fh:
         trigpath.write_reconstruction_csv(curve, fh, samples=2)
     with open(tmp_path / "trajectory.csv", "w", newline="\n") as fh:
-        traj.write_csv(fh, stride=2)
+        traj.write_csv(fh)
     assert (tmp_path / "spectrum.csv").read_bytes() == (
         b"k,re,im,magnitude\n"
         b"-1,0.10000000000000001,0,0.10000000000000001\n"
@@ -880,6 +882,27 @@ def test_readme_example_passes_the_checks_made_before_data(argv):
     cfg = cli._resolve_config(args)
     cli._check_options(cfg)
     cli._widths(cfg)
+
+
+def test_readme_quickstart_calls_bind_to_the_library():
+    # nothing runs: every name the python quickstart imports is in
+    # fourierpath and is called, and each call's arguments bind to the
+    # callee's signature, so a removed name or a renamed parameter the
+    # README still shows fails here
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tree = ast.parse(text.split("```python\n")[1].split("```")[0])
+    names = {alias.asname or alias.name: getattr(fourierpath, alias.name)
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "fourierpath"
+             for alias in node.names}
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in names]
+    assert {call.func.id for call in calls} == set(names)
+    for call in calls:
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args)
+        assert all(kw.arg is not None for kw in call.keywords)
+        inspect.signature(names[call.func.id]).bind(
+            *call.args, **{kw.arg: kw.value for kw in call.keywords})
 
 
 @pytest.mark.parametrize("as_key", [False, True], ids=["flag", "config-key"])

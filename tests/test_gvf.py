@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from fourierpath import (
     FieldState,
@@ -13,7 +17,7 @@ from fourierpath import (
 from fourierpath.gvf import _field_terms
 from fourierpath.trigpath import TrigPath
 
-from conftest import decaying_spectrum, sparse_spectrum
+from conftest import decaying_spectrum, random_curve, random_gains, sparse_spectrum
 
 TWO_PI = 2.0 * np.pi
 UNIT = GvfParams(1.0, 1.0)
@@ -132,6 +136,48 @@ class TestLyapunovRate:
             fd = (fwd - bwd) / (2 * eps)
             rate = lyapunov_rate(unit_epicycle, FieldState(*state), UNIT)
             assert fd == pytest.approx(rate, rel=1e-4, abs=1e-8)
+
+
+EPS = np.finfo(float).eps
+
+
+def _norm_ratio(chi, tangent):
+    """|chi| over its floor sqrt(1 + |c'|^2)."""
+    return math.hypot(*chi) / math.hypot(1.0, *tangent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_field_norm_never_falls_below_its_floor(data):
+    # with u = (k1*phi1, k2*phi2), |chi|^2 = |c' - u|^2 + (1 + u.c')^2 is a
+    # convex quadratic in u least at u = 0, where it is 1 + |c'|^2: the
+    # ratio is at least 1 at every state and exactly 1 on the lifted path
+    path, params = random_curve(data), random_gains(data)
+    theta = data.draw(st.floats(-10.0, 10.0), label="theta")
+    px, py = path.eval_with_deriv(theta)[:2]
+    scale = 10.0 ** data.draw(st.sampled_from([-3, 0, 2]), label="offset scale")
+    offset = [scale * data.draw(st.floats(-1.0, 1.0), label=n) for n in ("phi1", "phi2")]
+    event(f"offset scale 1e{int(math.log10(scale))}")
+    _, tangent, chi = _field_terms(path, (px + offset[0], py + offset[1], theta), params)
+    assert _norm_ratio(chi, tangent) >= 1.0 - 8 * EPS
+    # on the path
+    phi, tangent, chi = _field_terms(path, (px, py, theta), params)
+    assert phi == (0.0, 0.0)
+    assert 1.0 - 8 * EPS <= _norm_ratio(chi, tangent) <= 1.0 + 8 * EPS
+
+
+def test_field_norm_floor_catches_a_flipped_theta_coupling():
+    # chi3 = 1 - u.c' in place of 1 + u.c': on the unit circle |c'| = 1, and
+    # at u = c' that field vanishes, ratio 0, where the real one is (0, 0, 2),
+    # ratio sqrt(2)
+    circle, params = TrigPath(k=[1], a=[1.0]), GvfParams(2.0, 0.5)
+    for theta in np.linspace(-3.0, 3.0, 7):
+        px, py, dx, dy = circle.eval_with_deriv(float(theta))
+        state = (px + dx / params.k1, py + dy / params.k2, float(theta))
+        _, tangent, (c1, c2, c3) = _field_terms(circle, state, params)
+        assert math.hypot(*tangent) == pytest.approx(1.0, abs=1e-15)
+        assert _norm_ratio((c1, c2, c3), tangent) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert _norm_ratio((c1, c2, 2.0 - c3), tangent) <= 1e-12
 
 
 class TestVerifyNonsingular:

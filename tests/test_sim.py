@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourierpath import sim
 from fourierpath import (
@@ -18,16 +20,16 @@ from fourierpath import (
     TrigPath,
     add_noise,
     apply_window,
-    convergence_time,
     dft,
     integrate,
     synth_path,
 )
 from fourierpath.gvf import _field_terms
 
-from conftest import decaying_spectrum
+from conftest import decaying_spectrum, random_curve, random_gains
 
 UNIT = GvfParams(1.0, 1.0)
+EPS = np.finfo(float).eps
 
 
 def noisy_curves(seeds, sigma, m=16):
@@ -285,11 +287,11 @@ class TestIntegrate:
             return _field_terms(*args)
 
         monkeypatch.setattr(sim, "_field_terms", counted)
-        # keeping every row, or only the last, past the divergence
-        for since in (0.0, t[-1]):
+        # keeping every row, only the last, or every seventh from row 3, past the divergence
+        for rows in (None, range(n_steps, n_steps + 1), range(3, n_steps + 1, 7)):
             calls = 0
             with pytest.raises(IntegrationError) as err:
-                integrate(path, params, cfg, since=since)
+                integrate(path, params, cfg, rows=rows, conv_tol=1e-4)
             assert (err.value.step, err.value.curve) == (step, curve)
             assert str(err.value) == (f"state diverged at step {step} (t = {t[step]:g}); "
                                       "dt is too large for these gains")
@@ -297,7 +299,7 @@ class TestIntegrate:
             assert calls <= 4 * (step + sim._CHECK_ROWS - 1) + 1
 
     @pytest.mark.parametrize("case", ["lone-758-truth", "stack"])
-    def test_since_keeps_the_rows_of_the_full_run_from_it(self, case):
+    def test_kept_rows_are_the_full_runs_rows(self, case):
         clean = synth_path("lissajous", 758, [3, 2])
         if case == "stack":
             truth, curves = noisy_curves([1, 2, 3], sigma=0.1)
@@ -307,23 +309,33 @@ class TestIntegrate:
         params = GvfParams(1.0, 2.0)
         cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=0.3, dt=1e-3)
         full = integrate(path, params, cfg, truth=truth)
-        t = full.t
-        # from the start, between rows mid-block, at the rows either side of
-        # a block edge, and at the last row
-        for since in (0.0, 0.5 * (t[100] + t[101]), t[255], t[256], t[257], t[-1]):
-            kept = full.t >= since
-            part = integrate(path, params, cfg, truth=truth, since=since)
-            assert part.n_rows == np.count_nonzero(kept) >= 1
+        assert full.n_rows == cfg.steps + 1 == 301
+        # to the last row from the start, from mid-block, from the rows either
+        # side of a block edge and from the last row itself; then strides that
+        # keep the last row, skip it, cross block edges or keep only row 0
+        for rows in (range(0, 301), range(101, 301), range(255, 301), range(256, 301),
+                     range(257, 301), range(300, 301), range(0, 301, 3), range(3, 301, 7),
+                     range(5, 260, 10), range(254, 259, 2), range(0, 301, 1000)):
+            part = integrate(path, params, cfg, truth=truth, rows=rows)
+            assert part.n_rows == len(rows)
+            kept = slice(rows.start, rows.stop, rows.step)
             for name in ("t", "x", "y", "theta", "phi1", "phi2", "v1", "e_inst"):
-                assert np.array_equal(getattr(part, name), getattr(full, name)[kept]), name
+                want = getattr(full, name)
+                assert np.array_equal(getattr(part, name), want[kept]), name
+                # the last row, kept or not
+                assert np.array_equal(getattr(part.final, name), want[-1:]), name
 
-    @pytest.mark.parametrize("since", [np.nan, 0.3 + 1e-9, np.inf])
-    def test_since_past_the_last_row_is_refused(self, unit_epicycle, since):
+    @pytest.mark.parametrize("rows", [range(301, 302), range(0, 302), range(-1, 5),
+                                      range(0), range(7, 7)],
+                             ids=["past-the-last-row", "to-past-the-last-row",
+                                  "before-the-first-row", "empty", "empty-inside"])
+    def test_rows_outside_the_run_are_refused(self, unit_epicycle, rows):
         cfg = SimConfig(FieldState(1.0, 0.0, 0.0), duration=0.3, dt=1e-3)
-        with pytest.raises(ValueError, match=r"^since must be at most the last row's t = 0\.3$"):
-            integrate(unit_epicycle, UNIT, cfg, since=since)
+        with pytest.raises(ValueError,
+                           match=r"^rows must be a non-empty rising range within 0\.\.300$"):
+            integrate(unit_epicycle, UNIT, cfg, rows=rows)
 
-    def test_since_keeps_memory_to_its_rows(self):
+    def test_kept_tail_holds_memory_to_its_rows(self):
         # a 5 s run at dt 1e-3 keeping its final 10%, on a one-term curve
         # against a one-term reference: measured 90 KB at the peak, 32 KB of
         # it the kept rows, 10 KB one block, the rest the reference's chunk
@@ -334,7 +346,7 @@ class TestIntegrate:
         integrate(path, UNIT, SimConfig(cfg.eta0, 0.01, 1e-3), truth=truth)  # warm up
         tracemalloc.start()
         try:
-            traj = integrate(path, UNIT, cfg, truth=truth, since=0.9 * cfg.duration)
+            traj = integrate(path, UNIT, cfg, truth=truth, rows=range(4500, 5001))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -392,43 +404,142 @@ class TestIntegrate:
         assert np.allclose(traj.e_inst, traj.phi1**2 + traj.phi2**2, atol=1e-15)
 
 
+def _scan(traj, tol):
+    """The convergence time a scan of the trajectory's own rows after the run gives."""
+    above = np.nonzero(traj.phi1**2 + traj.phi2**2 > tol)[0]
+    if above.size == 0:
+        return float(traj.t[0])
+    return None if above[-1] == traj.n_rows - 1 else float(traj.t[above[-1] + 1])
+
+
 class TestConvergenceTime:
     def test_on_path_start_is_zero(self, unit_epicycle):
         cfg = SimConfig(FieldState(1.0, 0.0, 0.0), duration=2.0, dt=1e-3)
-        traj = integrate(unit_epicycle, UNIT, cfg)
-        assert convergence_time(traj, 1e-6) == 0.0
+        traj = integrate(unit_epicycle, UNIT, cfg, conv_tol=1e-6)
+        assert traj.convergence_time == 0.0
 
     def test_larger_gain_converges_faster(self):
         times = {}
         for k1 in (1.0, 2.0):
             path = dft(synth_path("circle", 64, [1.0]))
             cfg = SimConfig(FieldState(2.0, 0.0, 0.0), duration=10.0, dt=1e-3)
-            traj = integrate(path, GvfParams(k1, k1), cfg)
-            times[k1] = convergence_time(traj, 1e-4)
+            traj = integrate(path, GvfParams(k1, k1), cfg, conv_tol=1e-4)
+            times[k1] = traj.convergence_time
+            assert times[k1] == _scan(traj, 1e-4)
         assert times[1.0] is not None and times[2.0] is not None
         assert times[2.0] < times[1.0]
 
     def test_exact_zero_tolerance_never_holds(self, unit_epicycle):
         cfg = SimConfig(FieldState(2.0, 0.0, 0.0), duration=2.0, dt=1e-3)
-        traj = integrate(unit_epicycle, UNIT, cfg)
-        assert convergence_time(traj, 0.0) is None
+        traj = integrate(unit_epicycle, UNIT, cfg, conv_tol=0.0)
+        assert traj.convergence_time is None
 
     def test_stack_converges_when_its_last_run_does(self):
         _, curves = noisy_curves([1, 2, 3], sigma=0.1)
         cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=4.0, dt=1e-2)
-        lone = [integrate(curve, UNIT, cfg) for curve in curves]
-        batch = integrate(stacked(curves), UNIT, cfg)
-        times = [convergence_time(traj, 1e-4) for traj in lone]
+        times = [integrate(curve, UNIT, cfg, conv_tol=1e-4).convergence_time
+                 for curve in curves]
         assert None not in times and len(set(times)) > 1
-        assert convergence_time(batch, 1e-4) == max(times)
+        batch = integrate(stacked(curves), UNIT, cfg, conv_tol=1e-4)
+        assert batch.convergence_time == max(times) == _scan(batch, 1e-4)
         # every run's last row is above a zero tolerance
-        assert convergence_time(batch, 0.0) is None
+        assert integrate(stacked(curves), UNIT, cfg, conv_tol=0.0).convergence_time is None
 
     def test_negative_tolerance_rejected(self, unit_epicycle):
         cfg = SimConfig(FieldState(2.0, 0.0, 0.0), duration=1.0, dt=1e-2)
-        traj = integrate(unit_epicycle, UNIT, cfg)
-        with pytest.raises(ValueError):
-            convergence_time(traj, -1.0)
+        for tol in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^conv_tol must be finite and >= 0$"):
+                integrate(unit_epicycle, UNIT, cfg, conv_tol=tol)
+
+    def test_no_tolerance_gives_no_time(self, unit_epicycle):
+        cfg = SimConfig(FieldState(2.0, 0.0, 0.0), duration=1.0, dt=1e-2)
+        assert integrate(unit_epicycle, UNIT, cfg).convergence_time is None
+
+    @pytest.mark.parametrize("first", [0, 80])
+    def test_rows_between_the_kept_ones_count(self, first):
+        # at stride 7 the last row above the tolerance, row 73, is not kept:
+        # from row 0 the kept rows 0..70 are above it too, from row 80 none
+        # is, yet the time is the one every row gives, not the one the kept
+        # rows alone give
+        path = dft(synth_path("circle", 64, [1.0]))
+        cfg = SimConfig(FieldState(2.0, 0.0, 0.0), duration=2.0, dt=1e-2)
+        phi1, phi2 = array_state_rk4(path, UNIT, cfg)[4:]
+        offsets = phi1**2 + phi2**2
+        tol = float(offsets[74:].max())
+        assert np.flatnonzero(offsets > tol)[-1] == 73
+        every = integrate(path, UNIT, cfg, conv_tol=tol)
+        strided = integrate(path, UNIT, cfg, rows=range(first, cfg.steps + 1, 7), conv_tol=tol)
+        assert strided.convergence_time == every.convergence_time == cfg.dt * 74
+        assert _scan(strided, tol) == (cfg.dt * 77 if first == 0 else cfg.dt * 80)
+        assert every.convergence_time == _scan(every, tol)
+
+
+def _contraction_excess(path, params, cfg):
+    """The largest sqrt(V1) - allowed over the rows of the run, at most 0 where V1
+    contracts at rate 2*min(k1, k2) within RK4's error.
+
+    The exact flow has dV1/dt = -2|u|^2 - 2(u.c')^2 <= -2*min(k1, k2)*V1, with
+    u = (k1*phi1, k2*phi2), so V1(t) <= V1(0)*exp(-2*min(k1, k2)*t) (the
+    comparison lemma).  The RK4 allowance on row n, in the units of sqrt(V1):
+    a factor g^n, where g = R(-m*dt)*exp(m*dt), about 1 + (m*dt)^5/120, with
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the step's factor on an offset that
+    decays at m = min(k1, k2), the slowest rate; twice the gap to the same
+    run at dt/2, above the 16/15 of it that estimates the run's own error
+    (Richardson), for the error of following a moving curve; and 64 rounding
+    units of the coordinates, and 4 more a step.
+    """
+    traj = integrate(path, params, cfg)
+    fine = integrate(path, params, SimConfig(cfg.eta0, cfg.duration, cfg.dt / 2),
+                     rows=range(0, 2 * cfg.steps + 1, 2))
+    m = min(params.k1, params.k2)
+    z = -m * cfg.dt
+    g = (1 + z + z * z / 2 + z**3 / 6 + z**4 / 24) * np.exp(-z)
+    size = (1.0 + max(np.max(np.abs(traj.x)), np.max(np.abs(traj.y)))
+            + np.max(np.abs(traj.theta)) * np.sum(np.abs(path.k * path.a)) + np.sum(np.abs(path.a)))
+    n = np.arange(traj.n_rows)
+    allowed = (np.sqrt(traj.v1[0] * np.exp(-2 * m * traj.t)) * g**n
+               + 2 * np.abs(np.sqrt(traj.v1) - np.sqrt(fine.v1))
+               + np.sqrt(max(params.k1, params.k2)) * (64 + 4 * n) * EPS * size)
+    return float(np.max(np.sqrt(traj.v1) - allowed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_v1_contracts_at_twice_the_smaller_gain(data):
+    # resolved steps: dt*L <= 0.5, with L = max(k)*(1 + S)^2 + T2*(1 + max(k)*|phi|max)
+    # bounding the field's Jacobian (S = sum |k*a_k|, T2 = sum k^2*|a_k|, and
+    # |phi| <= sqrt(V1(0)/min(k)) along the flow), plus max|k|*(1 + max(k)*|phi|max*S)
+    # bounding how fast a harmonic's phase turns; that puts dt*max(k)*S^2 below 0.5
+    path, params = random_curve(data), random_gains(data)
+    theta = data.draw(st.floats(-10.0, 10.0), label="theta0")
+    px, py = path.eval(theta)
+    scale = 10.0 ** data.draw(st.integers(-3, 2), label="offset decade")
+    phi = [scale * data.draw(st.floats(-3.0, 3.0), label=n) for n in ("phi1", "phi2")]
+    a, k = np.abs(path.a), np.abs(path.k)
+    kmin, kmax = min(params.k1, params.k2), max(params.k1, params.k2)
+    reach = np.sqrt((params.k1 * phi[0] ** 2 + params.k2 * phi[1] ** 2) / kmin)
+    lipschitz = (kmax * (1 + np.sum(k * a)) ** 2 + np.sum(k * k * a) * (1 + kmax * reach)
+                 + np.max(k) * (1 + kmax * reach * np.sum(k * a)))
+    dt = float(f"{0.5 / lipschitz * data.draw(st.floats(0.01, 0.99), label='dt share'):.3g}")
+    assert dt * lipschitz <= 0.5 and dt * kmax * np.sum(k * a) ** 2 < 0.5
+    steps = data.draw(st.integers(1, 2000), label="steps")
+    cfg = SimConfig(FieldState(px + phi[0], py + phi[1], theta), steps * dt, dt)
+    assert _contraction_excess(path, params, cfg) <= 0.0
+
+
+def test_contraction_check_catches_a_flipped_theta_coupling(monkeypatch):
+    # chi3 = 1 - u.c' gives dV1/dt = -2|u|^2 + 2(u.c')^2, positive for u along
+    # c' once |c'| > 1: on the circle of radius 2, V1 grows from an offset along c'
+    circle, params = TrigPath(k=[1], a=[2.0]), GvfParams(1.0, 1.0)
+    cfg = SimConfig(FieldState(2.0, 0.1, 0.0), duration=0.5, dt=1e-3)
+    assert _contraction_excess(circle, params, cfg) <= 0.0
+
+    def flipped(path, state, params):
+        phi, tangent, (c1, c2, c3) = _field_terms(path, state, params)
+        return phi, tangent, (c1, c2, 2.0 - c3)
+
+    monkeypatch.setattr(sim, "_field_terms", flipped)
+    assert _contraction_excess(circle, params, cfg) > 1e-3
 
 
 class TestSimConfig:
@@ -477,15 +588,38 @@ def test_trajectory_csv_round_trip(unit_epicycle):
     assert np.array_equal(parsed[:, 1], traj.x)
     assert np.array_equal(parsed[:, 6], traj.v1)
 
+    # a run keeping every fifth row writes those rows of the full table
     decimated = io.StringIO()
-    traj.write_csv(decimated, stride=5)
-    assert len(decimated.getvalue().strip().splitlines()) == 1 + len(range(0, traj.n_rows, 5))
+    integrate(unit_epicycle, UNIT, cfg, rows=range(0, cfg.steps + 1, 5)).write_csv(decimated)
+    want = [lines[0], *lines[1::5]]
+    assert decimated.getvalue().strip().splitlines() == want
+    assert len(want) == 1 + len(range(0, traj.n_rows, 5))
 
 
 def test_stride_below_one_is_refused(unit_epicycle):
-    traj = integrate(unit_epicycle, UNIT, SimConfig(FieldState(2.0, 0.0, 0.0), 0.1, 1e-2))
-    with pytest.raises(ValueError, match="^stride must be >= 1$"):
-        traj.write_csv(io.StringIO(), stride=0)
+    # a falling range, whose stride is below one, keeps no rising rows
+    cfg = SimConfig(FieldState(2.0, 0.0, 0.0), 0.1, 1e-2)
+    with pytest.raises(ValueError, match="^rows must be a non-empty rising range within 0..10$"):
+        integrate(unit_epicycle, UNIT, cfg, rows=range(10, -1, -1))
+
+
+def test_strided_run_holds_memory_to_its_kept_rows():
+    # the traced peak of a run keeping every 1000th row, at two horizons,
+    # grows by at most 1 B a step: measured 0.03 B; keeping every row, as a
+    # stride taken from the rows after the run did, grows by 80 B a step
+    path = dft(synth_path("circle", 16, [1.0]))
+    peaks = []
+    for steps in (2000, 8000):
+        cfg = SimConfig(FieldState(-1.0, 2.0, 0.0), duration=steps * 1e-3, dt=1e-3)
+        integrate(path, UNIT, SimConfig(cfg.eta0, 0.01, 1e-3))  # warm up
+        tracemalloc.start()
+        try:
+            traj = integrate(path, UNIT, cfg, rows=range(0, steps + 1, 1000))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert traj.n_rows == steps // 1000 + 1
+    assert peaks[1] - peaks[0] <= 1 * (8000 - 2000)
 
 
 def test_stacked_trajectory_has_no_csv_table():
