@@ -195,12 +195,14 @@ COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as a :class:`CliError`, not a usage dump, and
-    reads ``-1e-3`` or ``-inf`` as a value, where argparse takes it for a flag."""
+    reads ``-1e-3``, ``-1.`` or ``-inf`` as a value, where argparse takes it for a flag."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        # every negative float() reads: digits with an optional point and
+        # fraction, or a point and a fraction; then an optional exponent
         self._negative_number_matcher = re.compile(
-            r"-(\d*\.?\d+(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
+            r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")

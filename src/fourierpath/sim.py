@@ -4,14 +4,17 @@ The step loop takes classic fourth-order Runge-Kutta steps from t = 0 to
 the duration, which dt divides, and keeps the state and the curve offsets
 of the rows it is asked for, counted by row index, and of its last row.
 For one curve the state is three floats, x, y and theta, and each RK4
-formula is applied to each alone.  The quadratic energy V1 and the squared
-distance to a reference curve are computed from the kept rows once the
-loop ends, so trajectories can be audited after the fact.
+formula is written out for each alone.  The quadratic energy V1 and the
+squared distance to a reference curve are computed from the kept rows once
+the loop ends, so trajectories can be audited after the fact.  Under the
+comparison lemma V1 decays at least as fast as :func:`transient_bound`.
 
 The same loop integrates a stack of R curves (see ``TrigPath``) at once:
 the state is then one (3, R) array, each RK4 formula is applied to it as
 one block, every kept array gains a trailing run axis, and column r is
-byte for byte the trajectory that following curve r alone gives.
+byte for byte the trajectory that following curve r alone gives.  A run
+of a stack makes its buffers once, and every stage writes into them: the
+stage inputs and the update here, and the field and its term sums below.
 
 Every row is stepped into a block of ``_CHECK_ROWS`` rows, and each full
 block is handled at once, not each step: its range is checked for
@@ -29,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gvf import FieldState, GvfParams, _field_terms
+from .gvf import FieldState, GvfParams, _field_terms, _FieldWork
 from .pathdata import write_table
 from .trigpath import TrigPath
 
-__all__ = ["IntegrationError", "SimConfig", "Trajectory", "integrate"]
+__all__ = ["IntegrationError", "SimConfig", "Trajectory", "integrate", "transient_bound"]
 
 _DIVERGENCE_LIMIT = 1e12
 # rows whose range is checked at once; a diverging run steps at most this
@@ -187,28 +190,16 @@ def integrate(
     kept = np.empty((len(rows) + 1, 5, *runs))
     above = -1  # the last row whose offsets exceed conv_tol
 
-    # the state: three floats for one curve, one (3, R) array for a stack
-    s = (float(cfg.eta0.x), float(cfg.eta0.y), float(cfg.eta0.theta))
-    h, sixth, two, one = 0.5 * dt, dt / 6.0, 2.0, 1.0
-    if runs:
-        s = np.repeat(np.array(s)[:, None], runs, axis=1)
-        # numpy scales an array by a 0-d array faster than by a float
-        dt, h, sixth, two, one = (np.array(v) for v in (dt, h, sixth, two, one))
-
-        def ahead(s, w, f):
-            return s + w * f
-    else:
-        def ahead(s, w, f):
-            return s[0] + w * f[0], s[1] + w * f[1], s[2] + w * f[2]
+    stepped = (_stack_rows if runs else _lone_rows)(path, params, cfg.eta0, dt)
     start = 0  # the row block[0] holds
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps + 1):
-            phi, _, a = _field_terms(path, s, params)
-            # a row is the state, then the offsets
-            block[i - start] = np.concatenate((s, phi)) if runs else s + phi
+        # the generator steps only when asked for the next row, so the
+        # last row is the last field evaluated
+        for i, row in enumerate(stepped):
+            block[i - start] = row
             if i == n_steps or i - start == _CHECK_ROWS - 1:
                 done = block[:i + 1 - start]
-                _check_bounded(done, start, cfg.dt)
+                _check_bounded(done, start, dt)
                 into, out = _kept_in(rows, start, i + 1)
                 kept[into], kept[-1] = done[out], done[-1]
                 if conv_tol is not None:
@@ -216,14 +207,8 @@ def integrate(
                     hits = np.flatnonzero(high.reshape(len(done), -1).any(axis=1))
                     above = start + int(hits[-1]) if hits.size else above
                 start = i + 1
-            if i == n_steps:
-                break
-
-            b = _field_terms(path, ahead(s, h, a), params)[2]
-            c = _field_terms(path, ahead(s, h, b), params)[2]
-            d = _field_terms(path, ahead(s, dt, c), params)[2]
-            # the step s + dt/6*(((a + 2b) + 2c) + d), one s + w*f at a time (1.0*d is d)
-            s = ahead(s, sixth, ahead(ahead(ahead(a, two, b), two, c), one, d))
+                if i == n_steps:
+                    break
 
     x, y, theta, phi1, phi2 = np.moveaxis(kept, 1, 0)
     v1 = params.k1 * phi1 * phi1 + params.k2 * phi2 * phi2
@@ -232,6 +217,74 @@ def integrate(
     columns = (t, x, y, theta, phi1, phi2, v1, e_inst)
     conv = None if conv_tol is None or above == n_steps else cfg.dt * (above + 1)
     return Trajectory(*(c[:-1] for c in columns), Trajectory(*(c[-1:] for c in columns)), conv)
+
+
+def _lone_rows(path: TrigPath, params: GvfParams, eta0: FieldState, dt: float):
+    """Yield the rows of one curve's run, ``(x, y, theta, phi1, phi2)`` as
+    floats, taking one RK4 step before each but the first."""
+    h, sixth = 0.5 * dt, dt / 6.0
+    x, y, th = float(eta0.x), float(eta0.y), float(eta0.theta)
+    while True:
+        s = (x, y, th)
+        phi, _, (a1, a2, a3) = _field_terms(path, s, params)
+        yield s + phi
+        b1, b2, b3 = _field_terms(path, (x + h * a1, y + h * a2, th + h * a3), params)[2]
+        c1, c2, c3 = _field_terms(path, (x + h * b1, y + h * b2, th + h * b3), params)[2]
+        d1, d2, d3 = _field_terms(path, (x + dt * c1, y + dt * c2, th + dt * c3), params)[2]
+        x = x + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
+        y = y + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
+        th = th + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
+
+
+def _stack_rows(path: TrigPath, params: GvfParams, eta0: FieldState, dt: float):
+    """Yield the rows of a stack's run, one (5, R) block of x, y, theta, phi1
+    and phi2 that the next step overwrites, taking one RK4 step before each
+    but the first.
+
+    Every formula is the lone curve's, applied to the (3, R) state as one
+    block in the same operations and order, written into buffers made here:
+    a stage's input ``s + h*f`` and the step ``s + dt/6*(((a + 2b) + 2c) + d)``.
+    """
+    work = _FieldWork(path)
+    s, acc, tmp = np.empty((3, *work.state.shape))
+    s[...] = np.array([[eta0.x], [eta0.y], [eta0.theta]], dtype=np.float64)
+    # the field's input; its offsets follow it in work.point
+    stage = work.state
+    # numpy scales an array by a 0-d array faster than by a float, and
+    # parses out passed positionally faster than by keyword
+    h, sixth = np.array(0.5 * dt), np.array(dt / 6.0)
+    # each later stage's (step to its input, weight in the update); 1.0*d is d
+    stages = ((h, np.array(2.0)), (h, np.array(2.0)), (np.array(dt), np.array(1.0)))
+    while True:
+        stage[...] = s
+        # each stage's field is written over the last one's, in work.chi
+        f = _field_terms(path, stage, params, work)[2]
+        yield work.point
+        acc[...] = f
+        for step, weight in stages:
+            np.multiply(step, f, stage)
+            np.add(s, stage, stage)
+            f = _field_terms(path, stage, params, work)[2]
+            np.multiply(weight, f, tmp)
+            np.add(acc, tmp, acc)
+        np.multiply(sixth, acc, acc)
+        np.add(s, acc, s)
+
+
+def transient_bound(v1_0, k1, k2, t):
+    """``v1_0*exp(-2*min(k1, k2)*t)``: the most V1 can be at time t of a run
+    that starts at V1 = v1_0, for any curve and start, in exact arithmetic.
+
+    Along the field dV1/dt = -2|u|^2 - 2(u.c')^2 <= -2*min(k1, k2)*V1, with
+    u = (k1*phi1, k2*phi2) and c' the tangent, so the comparison lemma
+    (Khalil, Nonlinear Systems, 3rd ed., Lemma 3.4) bounds V1 by this
+    exponential.  ``t`` may be an array; a negative or non-finite input
+    raises ValueError.
+    """
+    for name, value in (("v1_0", v1_0), ("k1", k1), ("k2", k2), ("t", t)):
+        if not np.all(np.isfinite(value) & (np.asarray(value) >= 0)):
+            raise ValueError(f"{name} must be finite and >= 0")
+    return v1_0 * np.exp(-2 * min(k1, k2) * t)
 
 
 def _kept_in(rows: range, start: int, stop: int) -> tuple[slice, slice]:

@@ -23,7 +23,9 @@ O(S log S + K) rather than O(S*K).
 A ``TrigPath`` may also hold a stack of R curves over one shared ``k``:
 ``a`` is then an (R, K) array, and evaluating it at R parameters pairs
 parameter r with curve r, into one (4, R) array of rows x, y, dx, dy (the
-first two for ``eval``).  Each curve of a stack rounds exactly like the
+first two for ``eval``).  A stack writes every step of that sum into the
+buffers of a :class:`StackWork`, made once and reused by call after call,
+so a call builds no array.  Each curve of a stack rounds exactly like the
 same curve held alone at a scalar, as long as both have the same terms.
 """
 
@@ -38,7 +40,7 @@ import numpy as np
 from .fft import fft
 from .pathdata import _is_integer, write_table
 
-__all__ = ["TrigPath", "UniformGrid", "write_reconstruction_csv"]
+__all__ = ["StackWork", "TrigPath", "UniformGrid", "write_reconstruction_csv"]
 
 TWO_PI = 2.0 * math.pi
 # parameters of one curve evaluated at once by the Horner recurrence, whose
@@ -98,8 +100,11 @@ class TrigPath:
         amp = np.abs(self.a)
         phase = np.angle(self.a)
         # angle() returns -pi for a negative real part with a -0.0 imaginary
-        # part; fold that onto +pi to keep phases in (-pi, pi].
-        phase = np.where(phase <= -np.pi, phase + TWO_PI, phase)
+        # part; fold that onto +pi to keep phases in (-pi, pi].  Adding +0.0
+        # turns a -0.0 phase into +0.0, so th*k + phase is never -0.0: the
+        # angle a stack writes straight into an imaginary part is then the
+        # one 1j*(th*k + phase) gives a lone curve, whose 0 + angle is +0.0.
+        phase = np.where(phase <= -np.pi, phase + TWO_PI, phase) + 0.0
         tables = (kf, phase, np.stack((amp, kf * amp)))
         for arr in tables:
             arr.setflags(write=False)
@@ -129,36 +134,59 @@ class TrigPath:
 
         A :class:`UniformGrid` in gives the (S,) arrays at its parameters,
         from one transform of the folded coefficients; a stack refuses it.
+        A stack gives the first two rows of :meth:`eval_with_deriv`.
         """
         if isinstance(theta, UniformGrid):
             return self._eval_grid(theta.samples)
+        if self.a.ndim == 2:
+            return self.eval_with_deriv(theta)[:2]
         return self._evaluate(theta, 2)
 
-    def eval_with_deriv(self, theta):
-        """(x, y, dx/dtheta, dy/dtheta) sharing one trig evaluation."""
-        return self._evaluate(theta, 4)
+    def eval_with_deriv(self, theta, work=None):
+        """(x, y, dx/dtheta, dy/dtheta) sharing one trig evaluation.
+
+        A stack of R curves takes R parameters, one per curve, and writes
+        the four as the (4, R) rows of ``work``, a :class:`StackWork` made
+        for it (a fresh one when omitted), which it returns: the next call
+        through the same ``work`` overwrites them.  Each curve's rows are
+        the bytes of the same curve alone at its parameter, a scalar.
+        """
+        if self.a.ndim == 1:
+            return self._evaluate(theta, 4)
+        w = StackWork(self) if work is None else work
+        # out= would broadcast a scalar or a one-parameter array silently;
+        # the workspace's own parameter row has the stack's shape
+        if theta is not w.theta and np.shape(theta) != w.th.shape:
+            raise ValueError(f"a stack of {self.a.shape[0]} curves takes "
+                             f"one parameter per curve, got shape {np.shape(theta)}")
+        kf, phase, table = self._tables
+        # the hot loop's calls pass out positionally, which numpy parses faster
+        np.mod(theta, _TWO_PI, w.th)
+        # exp(i*(th*k + phase)): the angle goes into the imaginary part of a
+        # table whose real part stays +0.0
+        np.multiply(w.column, kf, w.angle)
+        np.add(w.angle, phase, w.angle)
+        np.exp(w.turn, w.rot)
+        # each curve's (x, dy) from the cosines, (y, -dx) from the sines
+        np.vecdot(w.cos, table, w.x_dy)
+        np.vecdot(w.sin, table, w.y_ndx)
+        np.negative(w.dx, w.dx)
+        return w.rows
 
     # vecdot sums a row the same way whether it stands alone or in a block
     # of any height, where ``@`` picks a kernel by the block's shape.
-    def _sums(self, th):  # (x, y, dx, dy): floats at a float, one (4, R) array at an (R, 1) column
+    def _sums(self, th):  # (x, y, dx, dy) as floats, at a float in [0, 2*pi)
         kf, phase, table = self._tables
         w = np.exp(_I * (th * kf + phase))
-        # each curve's (x, dy) from the cosines, (y, -dx) from the sines
-        if self.a.ndim == 1:
-            xdy, ydx = np.vecdot(w.real, table).tolist(), np.vecdot(w.imag, table).tolist()
-            # indexing, since unpacking an array iterates it, at twice the cost
-            return xdy[0], ydx[0], -ydx[1], xdy[1]
-        out = np.empty((4, self.a.shape[0]))
-        np.vecdot(w.real, table, out=out[::3])
-        np.vecdot(w.imag, table, out=out[1:3])
-        np.negative(out[2], out=out[2])
-        return out
+        # the curve's (x, dy) from the cosines, (y, -dx) from the sines;
+        # indexing, since unpacking an array iterates it, at twice the cost
+        xdy, ydx = np.vecdot(w.real, table).tolist(), np.vecdot(w.imag, table).tolist()
+        return xdy[0], ydx[0], -ydx[1], xdy[1]
 
     def _evaluate(self, theta, n):
-        """The first n of (x, y, dx, dy) at theta.
+        """The first n of (x, y, dx, dy) at theta, on one curve.
 
-        A scalar, or a stack of R curves at R parameters (one per curve),
-        takes :meth:`_sums`.  An array on one curve takes one Horner pass of
+        A scalar takes :meth:`_sums`.  An array takes one Horner pass of
         :attr:`_horner` in ``w = exp(i*th)`` per block of ``_BLOCK_ROWS``
         parameters, into one (n, size) output: with ``p = sum_{k>=0} a_k w^k``
         and ``q = sum_{k<0} conj(a_k) w^|k|`` the curve is p + conj(q).  Its
@@ -166,16 +194,11 @@ class TrigPath:
         round alike wherever a parameter sits in an array; numpy's complex
         kernels do not.
         """
-        # a lone curve at a scalar: float % wraps as np.mod does, -0.0 included;
-        # isinstance first, since np.ndim builds a 0-d array from a float
-        if self.a.ndim == 1 and (isinstance(theta, float) or np.ndim(theta) == 0):
+        # float % wraps as np.mod does, -0.0 included; isinstance first,
+        # since np.ndim builds a 0-d array from a float
+        if isinstance(theta, float) or np.ndim(theta) == 0:
             return self._sums(float(theta) % TWO_PI)[:n]
         th = np.mod(np.asarray(theta, dtype=np.float64), _TWO_PI)
-        if self.a.ndim == 2:
-            if th.shape != self.a.shape[:1]:
-                raise ValueError(f"a stack of {self.a.shape[0]} curves takes "
-                                 f"one parameter per curve, got shape {th.shape}")
-            return self._sums(th[:, None])[:n]
         (gaps, coefs), flat = self._horner, th.ravel()
         out = np.empty((n, flat.size))
         for start in range(0, flat.size, _BLOCK_ROWS):
@@ -206,6 +229,32 @@ class TrigPath:
         np.add.at(folded, -self.k % samples, self.a)
         z = fft(folded)
         return z.real, z.imag
+
+
+class StackWork:
+    """The buffers a stack's term sums are written into, for call after call.
+
+    Made for one stack (see :meth:`TrigPath.eval_with_deriv`): its wrapped
+    parameters, the (R, K) table of angles ``th*k + phase`` as imaginary
+    parts, their exponentials, and the (4, R) rows x, y, dx, dy, with every
+    view a sum writes through made here, once.  A workspace belongs to one
+    caller, never to the curve; calls through it overwrite each other.
+    """
+
+    # a parameter array known to hold one parameter per curve (set by subclasses)
+    theta = None
+
+    def __init__(self, path: TrigPath):
+        runs, terms = path.a.shape
+        self.th = np.empty(runs)
+        self.column = self.th[:, None]
+        # written only in its imaginary part, so its real part stays +0.0
+        self.turn = np.zeros((runs, terms), dtype=np.complex128)
+        self.angle = self.turn.imag
+        self.rot = np.empty_like(self.turn)
+        self.cos, self.sin = self.rot.real, self.rot.imag
+        self.rows = np.empty((4, runs))
+        self.x_dy, self.y_ndx, self.dx = self.rows[::3], self.rows[1:3], self.rows[2]
 
 
 def write_reconstruction_csv(path: TrigPath, fh, samples: int = 1024) -> None:

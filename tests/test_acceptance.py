@@ -109,7 +109,7 @@ def test_criterion_02_full_spectrum_interpolation():
 def test_criterion_03_non_singularity_sweep():
     start = time.perf_counter()
     per_path = 20_000
-    min_norm = np.inf
+    min_norm = min_ratio = np.inf
     zero_states = 0
     cert_failures = 0
     cert_states = 0
@@ -118,19 +118,24 @@ def test_criterion_03_non_singularity_sweep():
             path, GvfParams(1.0 + 0.5 * i, 1.0), BOX, per_path, rng_seed=100 + i
         )
         min_norm = min(min_norm, report.min_field_norm)
+        min_ratio = min(min_ratio, report.min_norm_ratio)
         zero_states += len(report.zero_field_states)
         cert_states += report.certificate_states
         cert_failures += len(report.certificate_failures)
     elapsed = time.perf_counter() - start
-    ok = zero_states == 0 and cert_failures == 0 and elapsed < 10.0
+    # the closed-form floor |chi| >= sqrt(1 + |c'|^2), up to rounding
+    floor_ok = min_ratio >= 1.0 - 8 * np.finfo(float).eps
+    ok = zero_states == 0 and cert_failures == 0 and floor_ok and elapsed < 10.0
     _report(
         3,
         "non-singular-field",
         ok,
         f"{5 * per_path} states, min |chi| {min_norm:.3g}, "
+        f"min |chi|/sqrt(1+|c'|^2) {min_ratio:.17g}, "
         f"{cert_states} vanishing-row states checked, {elapsed:.2f}s",
     )
     assert zero_states == 0
+    assert floor_ok
     assert cert_failures == 0
     assert cert_states > 0
     assert elapsed < 10.0

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fourierpath import (FieldState, GvfParams, IntegrationError, SimConfig, TrigPath, integrate,
-                         load_path, pathdata, sim, trigpath)
+from fourierpath import (FieldState, GvfParams, IntegrationError, SimConfig, TrigPath, gvf,
+                         integrate, load_path, pathdata, sim, trigpath)
 
 from oracles import curve_sum_longdouble, rounding_bounds, term_sum_exp_form
 
@@ -221,6 +221,42 @@ def test_term_sum_is_the_bytes_of_the_exp_form(data):
     for r in range(runs):
         lone = np.array(TrigPath(k, a[r]).eval_with_deriv(float(th[r])))
         assert lone.tobytes() == np.array(term_sum_exp_form(k, a[r], th[r])).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_reused_workspace_gives_the_bytes_of_fresh_calls_and_of_each_curve(data):
+    # one workspace through several calls, curve sums and fields mixed: each
+    # call gives the bytes of the same call on a fresh workspace and, column
+    # by column, of each curve alone at a scalar
+    runs = data.draw(st.integers(2, 4), label="runs")
+    k = _indices(data, 50)
+    a = _coefficients(data, runs, k, (-3, 1))
+    stack, lones = TrigPath(k, a), [TrigPath(k, row) for row in a]
+    params = GvfParams(*(10.0 ** data.draw(st.floats(-2, 2), label=n) for n in ("k1", "k2")))
+    work = gvf._FieldWork(stack)
+    for _ in range(data.draw(st.integers(2, 5), label="calls")):
+        th = _thetas(data, runs)
+        if data.draw(st.booleans(), label="curve sums"):
+            got = stack.eval_with_deriv(th, work).copy()
+            assert got.tobytes() == stack.eval_with_deriv(th).tobytes()
+            for r, lone in enumerate(lones):
+                assert got[:, r].tobytes() == np.array(lone.eval_with_deriv(float(th[r]))).tobytes()
+            continue
+        xy = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=2 * runs, max_size=2 * runs),
+                       label="xy")
+        state = np.vstack((np.reshape(xy, (2, runs)), th))
+        # the step loop's call: a state already in the workspace, not copied
+        if data.draw(st.booleans(), label="state in the workspace"):
+            work.state[...] = state
+            state = work.state
+        got = [block.copy() for block in gvf._field_terms(stack, state, params, work)]
+        fresh = gvf._field_terms(stack, np.array(state), params)
+        assert [block.tobytes() for block in got] == [block.tobytes() for block in fresh]
+        for r, lone in enumerate(lones):
+            want = gvf._field_terms(lone, tuple(state[:, r].tolist()), params)
+            for block, floats in zip(got, want):
+                assert block[:, r].tobytes() == np.array(floats).tobytes()
 
 
 _VALUES = (st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e150, -1e150, 1 / 3])

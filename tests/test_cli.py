@@ -383,7 +383,7 @@ class TestSimulate:
         for expected in texts:
             assert expected in text
 
-    @pytest.mark.parametrize("value", ["-1e-3", "-1E2", "-.5e1", "-1e12", "-inf"])
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E2", "-.5e1", "-1e12", "-inf", "-1.", "-1.e-3"])
     def test_negative_number_in_exponent_form_is_a_flag_value(self, tmp_path, value):
         args = cli._build_parser().parse_args(["simulate", "--x0", value, "--theta0", value])
         assert args.x0 == args.theta0 == float(value)

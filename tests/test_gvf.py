@@ -14,6 +14,7 @@ from fourierpath import (
     synth_path,
     verify_nonsingular,
 )
+from fourierpath import gvf
 from fourierpath.gvf import _field_terms
 from fourierpath.trigpath import TrigPath
 
@@ -187,6 +188,8 @@ class TestVerifyNonsingular:
         report = verify_nonsingular(unit_epicycle, UNIT, self.BOX, 20_000, rng_seed=0)
         assert report.passed
         assert report.min_field_norm > 0.0
+        # the companion states sit on no path point, so the floor is met, not touched
+        assert report.min_norm_ratio >= 1.0 - 8 * EPS
         assert report.zero_field_states == []
         assert report.certificate_failures == []
         # companion states make the vanishing-row branch non-vacuous
@@ -210,6 +213,36 @@ class TestVerifyNonsingular:
         path = apply_window(decaying_spectrum(758, seed=7), 100)
         report = verify_nonsingular(path, GvfParams(0.7, 1.9), self.BOX, 20_000, rng_seed=1)
         assert report.passed
+        assert 1.0 - 8 * EPS <= report.min_norm_ratio < math.inf
+
+    def test_norm_ratio_is_the_least_over_uniform_and_companion_states(self, unit_epicycle):
+        # the report's ratio is the least |chi|/sqrt(1 + |c'|^2) of both scans
+        report = verify_nonsingular(unit_epicycle, UNIT, self.BOX, 500, rng_seed=3)
+        rng = np.random.default_rng(3)
+        xs, ys, ths = (rng.uniform(lo, hi, 500) for lo, hi in self.BOX)
+
+        def least_ratio(state):
+            _, (dx, dy), (cx, cy, ct) = _field_terms(unit_epicycle, state, UNIT)
+            ratio = np.sqrt(cx * cx + cy * cy + ct * ct) / np.sqrt(1.0 + dx * dx + dy * dy)
+            return float(ratio.min()), cx, cy
+
+        uniform, cx, cy = least_ratio((xs, ys, ths))
+        companion = least_ratio((xs + cx / UNIT.k1, ys + cy / UNIT.k2, ths))[0]
+        assert report.min_norm_ratio == min(uniform, companion)
+
+    def test_norm_ratio_catches_a_flipped_theta_coupling(self, monkeypatch):
+        # chi3 = 1 - u.c': the companion states put u at c', where on the unit
+        # circle that field vanishes, though no sampled norm need be exactly 0
+        circle, params = TrigPath(k=[1], a=[1.0]), GvfParams(2.0, 0.5)
+
+        def flipped(path, state, params):
+            phi, tangent, (c1, c2, c3) = _field_terms(path, state, params)
+            return phi, tangent, (c1, c2, 2.0 - c3)
+
+        assert verify_nonsingular(circle, params, self.BOX, 200, rng_seed=0).min_norm_ratio > 1.0
+        monkeypatch.setattr(gvf, "_field_terms", flipped)
+        report = verify_nonsingular(circle, params, self.BOX, 200, rng_seed=0)
+        assert report.min_norm_ratio < 1e-6
 
     def test_invalid_requests_rejected(self, unit_epicycle):
         with pytest.raises(ValueError):

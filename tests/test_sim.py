@@ -179,9 +179,9 @@ class TestIntegrate:
             calls["field"] += 1
             return field(*args)
 
-        def spy_curve(self, theta):
+        def spy_curve(self, *args):
             calls["curve"] += 1
-            return curve(self, theta)
+            return curve(self, *args)
 
         monkeypatch.setattr(sim, "_field_terms", spy_field)
         monkeypatch.setattr(TrigPath, "eval_with_deriv", spy_curve)
@@ -497,7 +497,7 @@ def _contraction_excess(path, params, cfg):
     size = (1.0 + max(np.max(np.abs(traj.x)), np.max(np.abs(traj.y)))
             + np.max(np.abs(traj.theta)) * np.sum(np.abs(path.k * path.a)) + np.sum(np.abs(path.a)))
     n = np.arange(traj.n_rows)
-    allowed = (np.sqrt(traj.v1[0] * np.exp(-2 * m * traj.t)) * g**n
+    allowed = (np.sqrt(sim.transient_bound(traj.v1[0], params.k1, params.k2, traj.t)) * g**n
                + 2 * np.abs(np.sqrt(traj.v1) - np.sqrt(fine.v1))
                + np.sqrt(max(params.k1, params.k2)) * (64 + 4 * n) * EPS * size)
     return float(np.max(np.sqrt(traj.v1) - allowed))
@@ -540,6 +540,30 @@ def test_contraction_check_catches_a_flipped_theta_coupling(monkeypatch):
 
     monkeypatch.setattr(sim, "_field_terms", flipped)
     assert _contraction_excess(circle, params, cfg) > 1e-3
+
+
+def test_transient_bound_at_the_benchmark_and_headline_tail_starts():
+    # lissajous-758 starts at (1, 0), so from (-1, 2) at gains (1, 1) V1(0) = 8;
+    # certify averages from 1.8 s (--duration 2) and from 18 s (--duration 20)
+    curve = dft(synth_path("lissajous", 758, [3.0, 2.0]))
+    px, py = curve.eval(0.0)
+    v1_0 = (-1.0 - px) ** 2 + (2.0 - py) ** 2
+    assert v1_0 == pytest.approx(8.0, rel=1e-12)
+    assert sim.transient_bound(v1_0, 1.0, 1.0, 1.8) == pytest.approx(8 * np.exp(-3.6))
+    assert round(sim.transient_bound(v1_0, 1.0, 1.0, 1.8), 3) == 0.219
+    assert sim.transient_bound(v1_0, 1.0, 1.0, 18.0) == pytest.approx(1.9e-15, rel=0.02)
+    # the smaller gain sets the rate, and t may be an array
+    t = np.array([0.0, 0.5, 2.0])
+    assert np.array_equal(sim.transient_bound(2.0, 3.0, 0.5, t), 2.0 * np.exp(-2 * 0.5 * t))
+
+
+@pytest.mark.parametrize("args", [
+    (-1.0, 1.0, 1.0, 1.0), (1.0, -1.0, 1.0, 1.0), (1.0, 1.0, np.nan, 1.0),
+    (1.0, 1.0, 1.0, -0.5), (np.inf, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, np.array([0.0, np.inf])),
+    (1.0, 1.0, 1.0, np.array([1.0, -1.0]))])
+def test_transient_bound_refuses_a_negative_or_non_finite_input(args):
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        sim.transient_bound(*args)
 
 
 class TestSimConfig:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from fourierpath import (Spectrum, apply_window, dft, reconstruction_mse, synth_path, tail_energy,
                          trigpath)
-from fourierpath.trigpath import TrigPath, UniformGrid, write_reconstruction_csv
+from fourierpath.gvf import GvfParams, _field_terms, _FieldWork
+from fourierpath.trigpath import StackWork, TrigPath, UniformGrid, write_reconstruction_csv
 
 from conftest import decaying_spectrum, random_path, sparse_spectrum
 from oracles import curve_sum_longdouble, partial_sum, rounding_bounds
@@ -135,6 +136,39 @@ def test_stack_refuses_a_scalar_parameter():
         with pytest.raises(ValueError) as err:
             stack.eval_with_deriv(theta)
         assert str(err.value) == "a stack of 3 curves takes one parameter per curve, got shape ()"
+
+
+def test_stack_with_a_workspace_refuses_a_scalar_or_a_wrong_count_of_parameters():
+    # written out= a workspace's buffers, a scalar or a (1,) array would broadcast
+    stack = TrigPath(k=[0, 1], a=np.ones((3, 2)))
+    work = StackWork(stack)
+    for theta in (0.3, np.float64(0.3), np.array(0.3), 1, np.array([0.3]), np.zeros(2),
+                  np.zeros(4), np.zeros((3, 1)), [0.1, 0.2]):
+        with pytest.raises(ValueError, match="^a stack of 3 curves takes one parameter per curve"):
+            stack.eval_with_deriv(theta, work)
+    field = _FieldWork(stack)
+    for state in (np.zeros(3), np.zeros((3, 1)), np.zeros((2, 3)), np.zeros((3, 4))):
+        with pytest.raises(ValueError, match="^a stack of 3 curves takes a \\(3, 3\\) state"):
+            _field_terms(stack, state, GvfParams(1.0, 1.0), field)
+    # a list of one parameter per curve is taken, as without a workspace
+    assert stack.eval_with_deriv([0.1, 0.2, 0.3], work).tobytes() == \
+        stack.eval_with_deriv(np.array([0.1, 0.2, 0.3])).tobytes()
+
+
+def test_stack_rotations_are_the_bytes_of_the_exp_form_at_a_negative_zero_phase():
+    # at theta = 0 a negative k gives th*k = -0.0, and a positive real
+    # coefficient with a -0.0 imaginary part a -0.0 phase; the angle a stack
+    # writes straight into an imaginary part must be the +0.0 that 1j*(...) gives
+    a = np.empty((2, 2), dtype=np.complex128)
+    a.real, a.imag = [[1.0, 2.0], [3.0, 1.0]], -0.0
+    stack, th = TrigPath(k=[-1, 0], a=a), np.zeros(2)
+    work = StackWork(stack)
+    got = stack.eval_with_deriv(th, work)
+    want = np.exp(1j * (th[:, None] * np.array([-1.0, 0.0]) + np.angle(a)))
+    assert work.rot.tobytes() == want.tobytes()
+    for r in range(2):
+        lone = TrigPath(k=[-1, 0], a=a[r]).eval_with_deriv(0.0)
+        assert got[:, r].tobytes() == np.array(lone).tobytes()
 
 
 def test_derivative_matches_central_difference():
